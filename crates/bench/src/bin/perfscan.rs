@@ -10,10 +10,10 @@
 //! - **Check mode** (`--check`): run the scan and diff the
 //!   deterministic counters against the checked-in baseline. Any cost
 //!   counter rising >10%, benefit counter falling >10%, or exact
-//!   counter (races, distinct schedules) drifting at all fails with
-//!   exit code 1. Wall-clock throughput is printed but never gated.
-//!   `--out <path>` additionally writes the fresh report (CI uploads it
-//!   as the run's artifact).
+//!   counter (races, distinct schedules, fused superinstructions)
+//!   drifting at all fails with exit code 1. Wall-clock throughput is
+//!   printed but never gated. `--out <path>` additionally writes the
+//!   fresh report (CI uploads it as the run's artifact).
 //!
 //! Scale knobs: `DRFIX_PERF_CASES` (default 28), `DRFIX_PERF_RUNS`
 //! (default 24), `DRFIX_PERF_REPEAT` (default 5),
@@ -24,20 +24,6 @@
 //! arm), `DRFIX_PERF_CAMPAIGN_CASES` (default 96, the campaign
 //! orchestration arm). The gate refuses to compare reports produced at
 //! different scales.
-//! `DRFIX_PERF_NOCACHE=1` runs the identical workload with the
-//! lock-aware caches off — an A/B for timing work. The *logical*
-//! counters stay bit-identical, but the dedicated cache counters
-//! (`*_sync_hits`, `sync_epoch_hits`, `stack_cache_hits`) drop to
-//! zero, so never bake a NOCACHE run into the baseline
-//! (`make perf-baseline` clears the flag). `DRFIX_PERF_NOGC=1` is the
-//! analogous A/B for the shadow-state lifecycle: logical counters stay
-//! bit-identical, but the lifecycle gauges (`states_collected`,
-//! `clock_slots_reclaimed`, the peak gauges) collapse — equally unfit
-//! for a baseline.
-//! `DRFIX_TIER=reg` runs the *whole* scan on the register interpreter
-//! tier — every deterministic counter stays bit-identical (that is the
-//! tier contract, pinned by the report's tier section, whose own A/B
-//! always measures both tiers explicitly regardless of this knob).
 
 use bench::hotpath::{self, HotpathScale, Report};
 use std::path::{Path, PathBuf};
@@ -193,16 +179,9 @@ fn main() -> ExitCode {
         c.wall_seconds_serial,
         c.wall_seconds_pipelined,
     );
-    let tr = &report.tier;
     println!(
-        "tier A/B (sync-heavy, same process): stack {:.2}M instr/s vs register {:.2}M \
-         instr/s -> {:.2}x | {} fused ops | {} campaign mismatches, must be 0 \
-         (wall-clock: reported, never gated)",
-        tr.stack_ips / 1e6,
-        tr.reg_ips / 1e6,
-        tr.reg_speedup,
-        tr.reg_fused_ops,
-        tr.tier_mismatches,
+        "fused superinstructions: {} (exact-gated)",
+        report.total.counters.fused_ops
     );
     println!(
         "exposure corpus: {:.2}M instr/s vs pre-optimization {:.2}M instr/s -> {:.2}x",

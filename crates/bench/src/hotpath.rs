@@ -8,9 +8,10 @@
 //! - **Deterministic cost counters** (VM steps, scheduling points,
 //!   detector events, same-epoch fast-path hits, stack snapshots
 //!   materialised/avoided, clock joins, clock allocations
-//!   made/avoided, races, distinct schedules): exact functions of the
-//!   seeded schedules, bit-identical on every machine and across
-//!   repeats — so a checked-in baseline is an *exact* regression gate.
+//!   made/avoided, races, distinct schedules, fused superinstructions):
+//!   exact functions of the seeded schedules, bit-identical on every
+//!   machine and across repeats — so a checked-in baseline is an
+//!   *exact* regression gate.
 //! - **Wall-clock throughput** (instructions/sec): reported for humans
 //!   and for the pre/post-optimization comparison, never gated (CI
 //!   machines differ).
@@ -25,7 +26,7 @@ use corpus::{CorpusConfig, RaceCase};
 use drfix::fleet::FleetConfig;
 use drfix::PipelineConfig;
 use govm::{
-    compile_sources, run_test_many, CompileOptions, RunCounters, SchedulePolicy, TestConfig, Tier,
+    compile_sources, run_test_many, CompileOptions, SchedulePolicy, TestConfig, TestOutcome,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -66,14 +67,15 @@ pub const WORKLOAD_SEED: u64 = 0xBEEF;
 /// pipelined-vs-serial digest cross-check (`digest_mismatches`, must
 /// stay 0). Campaign wall-clock is reported, never gated.
 ///
-/// v7: the tier section (`tier_mismatches`, `reg_fused_ops`,
-/// `sync_heavy_vm_steps`) gating the register interpreter tier: the
-/// SyncHeavy arms replayed on both tiers back-to-back in-process, every
-/// campaign observable compared bit for bit (`tier_mismatches` must
-/// stay 0), with the fused-superinstruction count pinned exactly as the
-/// physical proof the register tier engaged. Both tiers' wall-clock
-/// throughput and their ratio are reported, never gated.
-pub const SCHEMA: u32 = 7;
+/// v7: a section replaying the SyncHeavy arms with and without fused
+/// superinstructions (removed in v8).
+///
+/// v8: one interpreter path. The whole scan runs fused (the only
+/// production path), and every counter set carries `fused_ops`,
+/// exact-gated, so fusion can never silently stop firing. Its
+/// bit-identity with unfused execution is pinned by the differential
+/// and golden test suites instead of a second scan arm.
+pub const SCHEMA: u32 = 8;
 
 /// Sampling granularities measured into the report's recall section.
 /// `1` tracks every address (recall must be total); the coarser mods
@@ -296,10 +298,14 @@ pub struct CounterSet {
     pub races: u64,
     /// Distinct schedule signatures (summed over campaigns).
     pub distinct_schedules: u64,
+    /// Fused superinstructions executed — physical, but an exact
+    /// function of the seeded schedules like every counter here.
+    pub fused_ops: u64,
 }
 
 impl CounterSet {
-    fn add_outcome(&mut self, c: &RunCounters, races: u64, distinct: u64) {
+    fn add_outcome(&mut self, out: &TestOutcome) {
+        let c = &out.counters;
         self.vm_steps += c.vm_steps;
         self.sched_points += c.sched_points;
         self.det_events += c.det.events;
@@ -318,8 +324,9 @@ impl CounterSet {
         self.clock_slots_reclaimed += c.clock_slots_reclaimed;
         self.peak_shadow_bytes += c.peak_shadow_bytes;
         self.peak_clock_width += c.peak_clock_width;
-        self.races += races;
-        self.distinct_schedules += distinct;
+        self.races += out.races.len() as u64;
+        self.distinct_schedules += u64::from(out.distinct_schedules);
+        self.fused_ops += out.fused_ops;
     }
 
     fn accumulate(&mut self, other: &CounterSet) {
@@ -343,6 +350,7 @@ impl CounterSet {
         self.peak_clock_width += other.peak_clock_width;
         self.races += other.races;
         self.distinct_schedules += other.distinct_schedules;
+        self.fused_ops += other.fused_ops;
     }
 
     /// Share of detector events answered by the same-epoch fast path.
@@ -413,6 +421,7 @@ impl CounterSet {
                 self.distinct_schedules,
                 Direction::Exact,
             ),
+            ("fused_ops", self.fused_ops, Direction::Exact),
         ]
     }
 }
@@ -976,157 +985,6 @@ pub fn measure_campaign(scale: &HotpathScale) -> CampaignBenchReport {
     }
 }
 
-/// The interpreter-tier section: the SyncHeavy arms replayed on the
-/// stack tier and the lowered register tier back-to-back in the same
-/// process. The deterministic halves (`tier_mismatches`,
-/// `reg_fused_ops`, `sync_heavy_vm_steps`) are gated; the wall-clock
-/// halves (`stack_ips`, `reg_ips`, `reg_speedup`) are reported, never
-/// gated.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TierBenchReport {
-    /// `(case, policy)` campaigns whose observables (counters, step
-    /// totals, schedule-dedup tallies, race reports, test failures)
-    /// differed between tiers — must stay 0: the register tier is
-    /// logically invisible.
-    pub tier_mismatches: u64,
-    /// Fused superinstructions the register tier executed across all
-    /// SyncHeavy campaigns. An exact function of the seeded schedules;
-    /// pinned so the register tier can never silently degrade to the
-    /// unfused loop (and the stack tier never fuses at all).
-    pub reg_fused_ops: u64,
-    /// SyncHeavy VM steps — identical on both tiers by construction,
-    /// pinned as the cross-check that both arms ran the same work.
-    pub sync_heavy_vm_steps: u64,
-    /// Stack-tier SyncHeavy throughput, instr/s (reported, never gated).
-    pub stack_ips: f64,
-    /// Register-tier SyncHeavy throughput, instr/s (reported, never
-    /// gated).
-    pub reg_ips: f64,
-    /// `reg_ips / stack_ips` (reported, never gated).
-    pub reg_speedup: f64,
-}
-
-impl TierBenchReport {
-    /// `(name, value, direction)` triples, mirroring
-    /// [`CampaignBenchReport::gauges`]. Every deterministic field is an
-    /// exact fingerprint; wall-clock never appears here.
-    pub fn gauges(&self) -> Vec<(&'static str, u64, Direction)> {
-        vec![
-            ("tier_mismatches", self.tier_mismatches, Direction::Exact),
-            ("reg_fused_ops", self.reg_fused_ops, Direction::Exact),
-            (
-                "sync_heavy_vm_steps",
-                self.sync_heavy_vm_steps,
-                Direction::Exact,
-            ),
-        ]
-    }
-}
-
-/// Measures [`TierBenchReport`]: every SyncHeavy `(case, policy)`
-/// campaign runs under both tiers with identical seeds,
-/// [`HotpathScale::repeat`] timing repetitions each (fastest kept,
-/// counters asserted to replay), and the per-campaign observables are
-/// compared bit for bit.
-pub fn measure_tiers(scale: &HotpathScale) -> TierBenchReport {
-    let arms: Vec<(String, govm::Program)> = sync_heavy_cases()
-        .into_iter()
-        .map(|(name, src, test)| {
-            let prog = compile_sources(
-                &[(format!("{name}.go"), src.to_owned())],
-                &CompileOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-            (test.to_owned(), prog)
-        })
-        .collect();
-    let policies = workload_policies();
-    // Everything one campaign observed that the tiers must agree on.
-    type Summary = (RunCounters, u64, u32, u32, Vec<String>, Vec<String>);
-    let campaign = |tier: Tier| -> (Vec<Summary>, u64, f64) {
-        let mut summaries: Vec<Summary> = Vec::new();
-        let mut fused = 0u64;
-        let mut best = f64::MAX;
-        for rep in 0..scale.repeat {
-            let mut rep_summaries: Vec<Summary> = Vec::new();
-            let mut rep_fused = 0u64;
-            let mut elapsed = 0.0;
-            for (test, prog) in &arms {
-                for policy in &policies {
-                    let cfg = TestConfig {
-                        runs: scale.runs,
-                        seed: WORKLOAD_SEED,
-                        stop_on_race: false,
-                        policy: policy.clone(),
-                        vm: govm::VmOptions {
-                            tier,
-                            ..govm::VmOptions::default()
-                        },
-                        ..TestConfig::default()
-                    };
-                    let t0 = Instant::now();
-                    let out = run_test_many(prog, test, &cfg);
-                    elapsed += t0.elapsed().as_secs_f64();
-                    rep_fused += out.fused_ops;
-                    rep_summaries.push((
-                        out.counters,
-                        out.steps,
-                        out.distinct_schedules,
-                        out.duplicate_schedules,
-                        out.races.iter().map(|r| r.bug_hash()).collect(),
-                        out.test_failures,
-                    ));
-                }
-            }
-            if rep == 0 {
-                summaries = rep_summaries;
-                fused = rep_fused;
-            } else {
-                assert_eq!(
-                    summaries, rep_summaries,
-                    "tier campaigns must replay bit-identically across repetitions"
-                );
-                assert_eq!(fused, rep_fused);
-            }
-            if elapsed < best {
-                best = elapsed;
-            }
-        }
-        (summaries, fused, best)
-    };
-    let (stack_sums, stack_fused, stack_best) = campaign(Tier::Stack);
-    let (reg_sums, reg_fused, reg_best) = campaign(Tier::Reg);
-    assert_eq!(stack_fused, 0, "the stack tier must never fuse");
-    let tier_mismatches = stack_sums
-        .iter()
-        .zip(reg_sums.iter())
-        .filter(|(a, b)| a != b)
-        .count() as u64;
-    let vm_steps: u64 = stack_sums.iter().map(|s| s.0.vm_steps).sum();
-    let stack_ips = if stack_best > 0.0 && stack_best < f64::MAX {
-        vm_steps as f64 / stack_best
-    } else {
-        0.0
-    };
-    let reg_ips = if reg_best > 0.0 && reg_best < f64::MAX {
-        vm_steps as f64 / reg_best
-    } else {
-        0.0
-    };
-    TierBenchReport {
-        tier_mismatches,
-        reg_fused_ops: reg_fused,
-        sync_heavy_vm_steps: vm_steps,
-        stack_ips,
-        reg_ips,
-        reg_speedup: if stack_ips > 0.0 {
-            reg_ips / stack_ips
-        } else {
-            0.0
-        },
-    }
-}
-
 /// The `BENCH_hotpath.json` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
@@ -1171,9 +1029,6 @@ pub struct Report {
     /// scale (serial counters exact-gated; pipelined digest cross-check;
     /// wall-clock reported, never gated).
     pub campaign: CampaignBenchReport,
-    /// The register-tier A/B on the SyncHeavy arms (mismatch and
-    /// fused-op counts exact-gated; wall-clock reported, never gated).
-    pub tier: TierBenchReport,
     /// Exposure-corpus aggregate (racy + human-fix campaigns; excludes
     /// the sync-heavy add-on).
     pub exposure: CategoryReport,
@@ -1326,21 +1181,6 @@ pub fn measure_sampling_recall(scale: &HotpathScale) -> Vec<SamplingRecall> {
 /// determinism is the foundation of the CI gate), and each category
 /// keeps its fastest timing.
 pub fn run_scan(scale: &HotpathScale) -> Report {
-    // A/B knob: `DRFIX_PERF_NOCACHE=1` runs the identical workload with
-    // the lock-aware caches off. The logical counters are bit-identical
-    // either way (the whole point), so the only difference is
-    // wall-clock — a machine-controlled before/after measurement.
-    let nocache = std::env::var("DRFIX_PERF_NOCACHE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    // Same idea for the shadow-state lifecycle: `DRFIX_PERF_NOGC=1`
-    // disables GC + clock reclamation. Logical counters stay
-    // bit-identical (pinned by the shadow-GC golden); the lifecycle
-    // gauges collapse (reclaimed to zero, peaks up), so never bake a
-    // NOGC run into the baseline.
-    let nogc = std::env::var("DRFIX_PERF_NOGC")
-        .map(|v| v == "1")
-        .unwrap_or(false);
     let (_corpus, programs) = workload_programs(scale);
     let policies = workload_policies();
 
@@ -1358,11 +1198,6 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
                     seed: WORKLOAD_SEED,
                     stop_on_race: false,
                     policy: policy.clone(),
-                    vm: govm::VmOptions {
-                        sync_epoch_cache: !nocache,
-                        shadow_gc: !nogc,
-                        ..govm::VmOptions::default()
-                    },
                     ..TestConfig::default()
                 };
                 let t0 = Instant::now();
@@ -1371,11 +1206,7 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
                 rep_counters
                     .entry(wp.category.clone())
                     .or_default()
-                    .add_outcome(
-                        &out.counters,
-                        out.races.len() as u64,
-                        u64::from(out.distinct_schedules),
-                    );
+                    .add_outcome(&out);
                 *rep_elapsed.entry(wp.category.clone()).or_default() += dt;
                 if rep == 0 {
                     case_count
@@ -1480,53 +1311,49 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
     // instruction stream is bit-identical (pinned by the lock-regime
     // goldens), so the ratio isolates what the caches buy without any
     // cross-run machine noise.
-    let (sync_heavy_nocache_ips, sync_heavy_cache_speedup) = if nocache {
-        (0.0, 0.0)
-    } else {
-        let mut best = f64::MAX;
-        let mut steps_off = 0u64;
-        for _ in 0..scale.repeat {
-            let mut elapsed = 0.0;
-            steps_off = 0;
-            for wp in programs.iter().filter(|wp| wp.category == "SyncHeavy") {
-                for policy in &policies {
-                    let cfg = TestConfig {
-                        runs: scale.runs,
-                        seed: WORKLOAD_SEED,
-                        stop_on_race: false,
-                        policy: policy.clone(),
-                        vm: govm::VmOptions {
-                            sync_epoch_cache: false,
-                            ..govm::VmOptions::default()
-                        },
-                        ..TestConfig::default()
-                    };
-                    let t0 = Instant::now();
-                    let out = run_test_many(&wp.prog, &wp.test, &cfg);
-                    elapsed += t0.elapsed().as_secs_f64();
-                    steps_off += out.counters.vm_steps;
-                }
-            }
-            if elapsed < best {
-                best = elapsed;
+    let mut best = f64::MAX;
+    let mut steps_off = 0u64;
+    for _ in 0..scale.repeat {
+        let mut elapsed = 0.0;
+        steps_off = 0;
+        for wp in programs.iter().filter(|wp| wp.category == "SyncHeavy") {
+            for policy in &policies {
+                let cfg = TestConfig {
+                    runs: scale.runs,
+                    seed: WORKLOAD_SEED,
+                    stop_on_race: false,
+                    policy: policy.clone(),
+                    vm: govm::VmOptions {
+                        sync_epoch_cache: false,
+                        ..govm::VmOptions::default()
+                    },
+                    ..TestConfig::default()
+                };
+                let t0 = Instant::now();
+                let out = run_test_many(&wp.prog, &wp.test, &cfg);
+                elapsed += t0.elapsed().as_secs_f64();
+                steps_off += out.counters.vm_steps;
             }
         }
-        let off_ips = if best > 0.0 && best < f64::MAX {
-            steps_off as f64 / best
-        } else {
-            0.0
-        };
-        let ratio = match &sync_heavy_cat {
-            Some(c) if off_ips > 0.0 && steps_off == c.counters.vm_steps => c.ips / off_ips,
-            _ => 0.0,
-        };
-        (off_ips, ratio)
+        if elapsed < best {
+            best = elapsed;
+        }
+    }
+    let sync_heavy_nocache_ips = if best > 0.0 && best < f64::MAX {
+        steps_off as f64 / best
+    } else {
+        0.0
+    };
+    let sync_heavy_cache_speedup = match &sync_heavy_cat {
+        Some(c) if sync_heavy_nocache_ips > 0.0 && steps_off == c.counters.vm_steps => {
+            c.ips / sync_heavy_nocache_ips
+        }
+        _ => 0.0,
     };
     let sampling = measure_sampling_recall(scale);
     let static_gate = measure_static_gate(scale);
     let tournament = measure_tournament(scale);
     let campaign = measure_campaign(scale);
-    let tier = measure_tiers(scale);
     Report {
         schema: SCHEMA,
         workload: WorkloadSpec {
@@ -1553,7 +1380,6 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
         static_gate,
         tournament,
         campaign,
-        tier,
         exposure,
         total,
         categories,
@@ -1717,12 +1543,6 @@ pub fn check(baseline: &Report, current: &Report) -> Vec<Violation> {
         "campaign",
         &baseline.campaign.gauges(),
         &current.campaign.gauges(),
-        &mut out,
-    );
-    check_gauges(
-        "tier",
-        &baseline.tier.gauges(),
-        &current.tier.gauges(),
         &mut out,
     );
     let cur_by_cat: BTreeMap<&str, &CategoryReport> = current
@@ -1926,28 +1746,17 @@ mod tests {
             "lint-rejected rosters burned VM steps: {:?}",
             a.tournament
         );
-        // Tier: the register tier must be logically invisible (zero
-        // mismatching campaigns), physically engaged (fused ops), and
-        // running the exact same instruction stream as the stack tier.
-        assert_eq!(a.tier.gauges(), b.tier.gauges());
-        assert_eq!(
-            a.tier.tier_mismatches, 0,
-            "register tier diverged from the stack tier: {:?}",
-            a.tier
-        );
-        assert!(
-            a.tier.reg_fused_ops > 0,
-            "register tier executed no fused superinstructions: {:?}",
-            a.tier
-        );
+        // Fusion engaged on the lock-heavy arms: the one physical
+        // counter the gate pins exactly.
         let sync_heavy = a
             .categories
             .iter()
             .find(|c| c.category == "SyncHeavy")
             .expect("SyncHeavy category");
-        assert_eq!(
-            a.tier.sync_heavy_vm_steps, sync_heavy.counters.vm_steps,
-            "tier arm ran a different SyncHeavy workload than the scan"
+        assert!(
+            sync_heavy.counters.fused_ops > 0,
+            "the scan executed no fused superinstructions: {:?}",
+            sync_heavy.counters
         );
         // Campaign: the serial orchestration counters and digest replay
         // bit-identically, the pipelined cross-check agrees, and the
@@ -1976,8 +1785,7 @@ mod tests {
         cur.static_gate.candidates_rejected_static += 1;
         cur.tournament.cases_fixed += 1;
         cur.campaign.digest ^= 1;
-        cur.tier.tier_mismatches += 1;
-        cur.tier.reg_fused_ops = 0;
+        cur.total.counters.fused_ops = 0;
         let violations = check(&base, &cur);
         let text = violations
             .iter()
@@ -1993,8 +1801,7 @@ mod tests {
         );
         assert!(text.contains("cases_fixed changed"), "{text}");
         assert!(text.contains("digest changed"), "{text}");
-        assert!(text.contains("tier_mismatches changed"), "{text}");
-        assert!(text.contains("reg_fused_ops changed"), "{text}");
+        assert!(text.contains("fused_ops changed"), "{text}");
         let table = render_violations(&violations);
         assert!(table.contains("vm_steps"), "{table}");
         assert!(table.contains("baseline"), "{table}");

@@ -4,9 +4,12 @@
 //! functions of the seeded schedules. This suite pins the two ways that
 //! could silently break:
 //!
-//! - **Thread invariance**: summing campaign counters over the fleet
-//!   must be bit-identical at `DRFIX_THREADS` 1, 2 and 8 — the counters
-//!   live inside each campaign's VMs, so sharding must not touch them.
+//! - **Thread invariance**: every campaign's summary — counters, step
+//!   total, schedule-dedup tallies, bug hashes and test failures —
+//!   must be bit-identical at `DRFIX_THREADS` 1, 2 and 8, and equal to
+//!   the serial unfused reference ([`ProgContext::without_fusion`]):
+//!   the counters live inside each campaign's VMs, so neither sharding
+//!   nor fusion may touch them.
 //! - **Replay invariance**: re-running a campaign with the same seed
 //!   under each [`SchedulePolicy`] must reproduce the counters bit for
 //!   bit (wall-clock may differ; nothing else may).
@@ -14,9 +17,10 @@
 use corpus::CorpusConfig;
 use drfix::fleet::{self, FleetConfig};
 use govm::{
-    compile_sources, run_test_many, CompileOptions, Program, RunCounters, SchedulePolicy,
-    TestConfig,
+    compile_sources, run_test_many, run_test_many_with_context, CompileOptions, ProgContext,
+    Program, RunCounters, SchedulePolicy, TestConfig, TestOutcome,
 };
+use std::rc::Rc;
 
 const CASES: usize = 7;
 const RUNS: u32 = 8;
@@ -45,38 +49,90 @@ fn policies() -> Vec<SchedulePolicy> {
     ]
 }
 
-/// Campaign counters for every `(case, policy)` job, computed across a
-/// fleet of `threads` workers.
-fn fleet_counters(programs: &[(Program, String)], threads: usize) -> Vec<RunCounters> {
-    let policies = policies();
-    let jobs: Vec<(usize, usize)> = (0..programs.len())
-        .flat_map(|c| (0..policies.len()).map(move |p| (c, p)))
-        .collect();
+/// Everything a campaign observed that must not depend on sharding or
+/// fusion.
+#[derive(Debug, Clone, PartialEq)]
+struct CampaignSummary {
+    counters: RunCounters,
+    steps: u64,
+    distinct_schedules: u32,
+    duplicate_schedules: u32,
+    bug_hashes: Vec<String>,
+    test_failures: Vec<String>,
+}
+
+impl CampaignSummary {
+    fn of(out: TestOutcome) -> Self {
+        CampaignSummary {
+            counters: out.counters,
+            steps: out.steps,
+            distinct_schedules: out.distinct_schedules,
+            duplicate_schedules: out.duplicate_schedules,
+            bug_hashes: out.races.iter().map(|r| r.bug_hash()).collect(),
+            test_failures: out.test_failures,
+        }
+    }
+}
+
+fn campaign_cfg(policy: &SchedulePolicy) -> TestConfig {
+    TestConfig {
+        runs: RUNS,
+        seed: SEED,
+        stop_on_race: false,
+        policy: policy.clone(),
+        ..TestConfig::default()
+    }
+}
+
+/// `(case, policy)` jobs in campaign order.
+fn jobs(programs: &[(Program, String)]) -> Vec<(usize, SchedulePolicy)> {
+    (0..programs.len())
+        .flat_map(|c| policies().into_iter().map(move |p| (c, p)))
+        .collect()
+}
+
+/// Campaign summaries for every `(case, policy)` job, computed across a
+/// fleet of `threads` workers on the production (fused) path.
+fn fleet_summaries(programs: &[(Program, String)], threads: usize) -> Vec<CampaignSummary> {
+    let jobs = jobs(programs);
     let run = fleet::run_indexed(&FleetConfig::new(threads), jobs.len(), |i| {
-        let (c, p) = jobs[i];
-        let (prog, test) = &programs[c];
-        let cfg = TestConfig {
-            runs: RUNS,
-            seed: SEED,
-            stop_on_race: false,
-            policy: policies[p].clone(),
-            ..TestConfig::default()
-        };
-        run_test_many(prog, test, &cfg).counters
+        let (c, policy) = &jobs[i];
+        let (prog, test) = &programs[*c];
+        CampaignSummary::of(run_test_many(prog, test, &campaign_cfg(policy)))
     });
     run.results
 }
 
+/// The same summaries, serially, on the unfused reference context.
+fn reference_summaries(programs: &[(Program, String)]) -> Vec<CampaignSummary> {
+    jobs(programs)
+        .iter()
+        .map(|(c, policy)| {
+            let (prog, test) = &programs[*c];
+            let reference = Rc::new(ProgContext::without_fusion(prog));
+            CampaignSummary::of(run_test_many_with_context(
+                prog,
+                &reference,
+                test,
+                &campaign_cfg(policy),
+            ))
+        })
+        .collect()
+}
+
 #[test]
-fn counters_are_bit_identical_across_thread_counts() {
+fn summaries_match_the_unfused_reference_at_every_fleet_width() {
     let programs = compiled_corpus();
-    let serial = fleet_counters(&programs, 1);
-    assert!(serial.iter().any(|c| c.det.events > 0), "workload is empty");
-    for threads in [2, 8] {
-        let par = fleet_counters(&programs, threads);
+    let reference = reference_summaries(&programs);
+    assert!(
+        reference.iter().any(|s| s.counters.det.events > 0),
+        "workload is empty"
+    );
+    for threads in [1, 2, 8] {
         assert_eq!(
-            serial, par,
-            "per-campaign counters drifted at DRFIX_THREADS={threads}"
+            reference,
+            fleet_summaries(&programs, threads),
+            "campaign summaries drifted at DRFIX_THREADS={threads}"
         );
     }
 }
@@ -86,13 +142,7 @@ fn counters_replay_bit_identically_per_policy() {
     let programs = compiled_corpus();
     for policy in policies() {
         for (prog, test) in &programs {
-            let cfg = TestConfig {
-                runs: RUNS,
-                seed: SEED,
-                stop_on_race: false,
-                policy: policy.clone(),
-                ..TestConfig::default()
-            };
+            let cfg = campaign_cfg(&policy);
             let a = run_test_many(prog, test, &cfg);
             let b = run_test_many(prog, test, &cfg);
             assert_eq!(

@@ -95,18 +95,34 @@ impl FleetConfig {
     }
 
     /// Reads `DRFIX_THREADS` from the environment, defaulting to the
-    /// machine's available parallelism.
+    /// machine's available parallelism when unset.
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set but is not a positive integer: a typo
+    /// must not silently run on every core.
     pub fn from_env() -> Self {
-        let threads = std::env::var("DRFIX_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        FleetConfig::new(threads)
+        let value = std::env::var_os("DRFIX_THREADS").map(|v| v.to_string_lossy().into_owned());
+        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves a `DRFIX_THREADS` value: unset is the machine's
+    /// parallelism, set must be a positive integer.
+    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
+        let threads = match value {
+            None => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            Some(v) => v
+                .trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|&t| t >= 1)
+                .ok_or_else(|| {
+                    format!("DRFIX_THREADS={v:?} is not a thread count; accepted: an integer >= 1")
+                })?,
+        };
+        Ok(FleetConfig::new(threads))
     }
 }
 
@@ -400,6 +416,21 @@ mod tests {
             splitmix64(1234567 + 0x9E37_79B9_7F4A_7C15),
             3203168211198807973
         );
+    }
+
+    #[test]
+    fn env_value_defaults_only_when_unset() {
+        assert!(FleetConfig::from_env_value(None).unwrap().threads >= 1);
+        assert_eq!(
+            FleetConfig::from_env_value(Some("3")),
+            Ok(FleetConfig::new(3))
+        );
+        for bad in ["two", "0", "-1", ""] {
+            let err = FleetConfig::from_env_value(Some(bad)).unwrap_err();
+            assert!(err.contains("DRFIX_THREADS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("integer >= 1"), "{err}");
+        }
     }
 
     #[test]

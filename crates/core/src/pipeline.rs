@@ -10,7 +10,7 @@ use crate::raceinfo::{self, FixLocation, LocationKind};
 use crate::validate::{validate_patch_report, ValidationOptions, Verdict};
 use golite::ast::Decl;
 use golite::visit::RenamePkg;
-use govm::{compile_sources, CompileOptions, SchedulePolicy, TestConfig, VmOptions};
+use govm::{compile_sources, CompileOptions, SchedulePolicy, TestConfig};
 use serde::{Deserialize, Serialize};
 use synthllm::{Feedback, FixRequest, ModelTier, Scope, SynthLlm};
 
@@ -62,14 +62,6 @@ pub struct PipelineConfig {
     /// loop: multiple candidates per prompt, a statcheck-driven repair
     /// loop, and confidence-ranked winner selection.
     pub tournament: Option<crate::tournament::TournamentConfig>,
-    /// Interpreter tier every detection/validation VM runs on (distinct
-    /// from [`tier`](PipelineConfig::tier), the *model* tier). Defaults
-    /// to the `DRFIX_TIER` environment knob, so a whole campaign —
-    /// testrun, fleet, campaign orchestrator, perfscan — switches tier
-    /// without touching any config. Tier choice is proven
-    /// behaviour-invisible (bit-identical counters, bug hashes and
-    /// schedule signatures), so this only moves wall-clock.
-    pub vm_tier: govm::Tier,
 }
 
 impl Default for PipelineConfig {
@@ -90,7 +82,6 @@ impl Default for PipelineConfig {
             validation_dedup_streak: None,
             static_gate: true,
             tournament: None,
-            vm_tier: govm::Tier::from_env(),
         }
     }
 }
@@ -312,10 +303,6 @@ impl<'db> DrFix<'db> {
                                 policy: self.cfg.validate_policy.clone(),
                                 max_total_steps: self.cfg.validation_step_budget,
                                 dedup_streak: self.cfg.validation_dedup_streak,
-                                vm: VmOptions {
-                                    tier: self.cfg.vm_tier,
-                                    ..VmOptions::default()
-                                },
                                 ..TestConfig::default()
                             };
                             let report = validate_patch_report(
@@ -378,10 +365,6 @@ impl<'db> DrFix<'db> {
             seed: self.cfg.seed,
             stop_on_race: true,
             policy: self.cfg.detect_policy.clone(),
-            vm: VmOptions {
-                tier: self.cfg.vm_tier,
-                ..VmOptions::default()
-            },
             ..TestConfig::default()
         };
         Some(govm::run_test_many(&prog, test, &cfg))

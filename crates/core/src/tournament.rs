@@ -34,7 +34,7 @@ use crate::raceinfo::{self, FixLocation, LocationKind};
 use crate::validate::{
     static_probe, validate_patch_report, StaticProbe, ValidationOptions, Verdict,
 };
-use govm::{TestConfig, VmOptions};
+use govm::TestConfig;
 use synthllm::{Candidate, Feedback, FixRequest, RaceCategory, Scope, StrategyKind, SynthLlm};
 
 /// Configuration of the tournament arm. `None` on
@@ -465,10 +465,6 @@ impl DrFix<'_> {
                 policy: self.cfg.validate_policy.clone(),
                 max_total_steps: self.cfg.validation_step_budget,
                 dedup_streak: self.cfg.validation_dedup_streak,
-                vm: VmOptions {
-                    tier: self.cfg.vm_tier,
-                    ..VmOptions::default()
-                },
                 ..TestConfig::default()
             };
             let vreport = validate_patch_report(

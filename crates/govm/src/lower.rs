@@ -1,29 +1,33 @@
-//! Lowering pass: fused superinstructions for the register tier.
+//! Lowering pass: fused superinstructions.
 //!
-//! The stack `Op` tier stays the golden reference; this pass runs after
-//! `govm::compile` (at [`crate::ProgContext`] build time) and produces,
-//! per function, a pc-indexed table of *fused superinstructions* — the
-//! hottest four-op stack sequences measured by `BENCH_hotpath.json`
-//! (statement-level native calls like `mu.Lock()`, counter updates like
-//! `n = n + 1`, and loop-condition compare-and-branch) collapsed into
-//! one dispatch each. The pc space is unchanged: a fused entry at `p`
-//! covers `code[p..p+4]`, and the register exec loop falls back to
-//! single-op execution at any pc without an entry (including mid-window
-//! jump targets), so lowering can never change program behaviour.
+//! The compiled `Op` stream stays the golden reference; this pass runs
+//! after `govm::compile` (at [`crate::ProgContext`] build time) and
+//! produces, per function, a pc-indexed table of *fused
+//! superinstructions* — the hottest four-op stack sequences measured by
+//! `BENCH_hotpath.json` (statement-level native calls like `mu.Lock()`,
+//! counter updates like `n = n + 1`, and loop-condition
+//! compare-and-branch) collapsed into one dispatch each. The pc space is
+//! unchanged: a fused entry at `p` covers `code[p..p+4]`, and the exec
+//! loop falls back to single-op execution at any pc without an entry
+//! (including mid-window jump targets), so lowering can never change
+//! program behaviour.
 //!
-//! Bit-identity with the stack tier is structural, not best-effort: a
-//! fused handler charges `vm.steps` before each covered sub-op exactly
-//! like the quantum loop does, updates the frame pc before every
-//! detector-visible sub-op (so stack generations, interned snapshots and
-//! race reports see the same `(func, pc)` the stack tier would), and is
-//! only entered when the whole window fits in the remaining quantum
-//! allowance (so preemption points are unchanged). Everything that stays
-//! in Rust locals — the loaded operands, the arithmetic, the branch
-//! decision — is precisely the operand-stack traffic the tier removes.
+//! Bit-identity with single-op execution is structural, not
+//! best-effort: a fused handler charges `vm.steps` before each covered
+//! sub-op exactly like the quantum loop does, updates the frame pc
+//! before every detector-visible sub-op (so stack generations, interned
+//! snapshots and race reports see the same `(func, pc)` unfused
+//! execution would), and is only entered when the whole window fits in
+//! the remaining quantum allowance (so preemption points are
+//! unchanged). Everything that stays in Rust locals — the loaded
+//! operands, the arithmetic, the branch decision — is precisely the
+//! operand-stack traffic fusion removes. The unfused reference
+//! ([`crate::ProgContext::without_fusion`]) runs the same loop with
+//! empty tables; the differential suites compare the two.
 
 use crate::bytecode::{CompiledFunc, Op};
 
-/// Width (in stack-tier ops) of every fused window.
+/// Width (in single ops) of every fused window.
 pub const FUSED_WIDTH: usize = 4;
 
 /// Operand source/destination of a fused superinstruction: the three
@@ -57,7 +61,7 @@ pub enum CmpOp {
 
 /// A fused superinstruction covering `code[pc..pc + FUSED_WIDTH]`.
 ///
-/// Jump targets keep the stack tier's `i32` operand form (cast to
+/// Jump targets keep the single op's `i32` operand form (cast to
 /// `usize` at execution, exactly like `Op::JumpIfFalse`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fused {

@@ -1198,12 +1198,12 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
     }
 }
 
-// ------------------------------------------------- fused (register tier)
+// ------------------------------------------------------- fused windows
 
 /// Sets the current frame's pc to the *logical* sub-op position inside
 /// a fused window, so detector-visible work (tracked loads/stores,
-/// native dispatch) observes exactly the `(func, pc)` the stack tier
-/// would.
+/// native dispatch) observes exactly the `(func, pc)` unfused
+/// execution would.
 fn set_pc(vm: &mut Vm, gid: Gid, pc: usize) {
     if let Some(f) = vm.gos[gid].frames.last_mut() {
         f.pc = pc;
@@ -1238,7 +1238,7 @@ fn fused_store(vm: &mut Vm, gid: Gid, s: Src, v: Value) -> Result<(), Flow> {
     Ok(())
 }
 
-/// Evaluates a fused comparison with the single-op tier's exact
+/// Evaluates a fused comparison with the single op's exact
 /// semantics: `Eq`/`Ne` via `go_eq` (total), the ordered forms via
 /// `compare` with the same incomparable-types panic message.
 fn fused_cmp(op: CmpOp, a: &Value, b: &Value) -> Result<bool, Flow> {
@@ -1263,7 +1263,7 @@ fn fused_cmp(op: CmpOp, a: &Value, b: &Value) -> Result<bool, Flow> {
 }
 
 /// Pushes a materialised method value (pooled receiver box), restoring
-/// the exact stack-tier state at the `Call` op of a fused native-call
+/// the exact unfused state at the `Call` op of a fused native-call
 /// window — used when the window must bail out to single-op execution
 /// (user-declared method, or park-and-retry).
 fn materialize_method(vm: &mut Vm, gid: Gid, rv: Value, name: u32) {
@@ -1278,16 +1278,17 @@ fn materialize_method(vm: &mut Vm, gid: Gid, rv: Value, name: u32) {
 }
 
 /// Executes the fused superinstruction at `pc`. The caller (the
-/// register quantum loop) has verified the whole window fits its
-/// remaining allowance and already charged the first sub-op's step.
+/// quantum loop) has verified the whole window fits its remaining
+/// allowance and already charged the first sub-op's step.
 ///
 /// Contract: returns `(extra, flow)` where `extra` counts the
 /// *additional* steps charged here for sub-ops 2.. (`vm.steps` is
 /// advanced before each sub-op, exactly like the quantum loop), and
 /// `flow` is interpreted like a single op's — `Jump` on completion or
 /// branch, `Stay`/`Park` after the handler has re-materialised the
-/// operand stack and set the frame pc to the sub-op where the stack
-/// tier would sit, so the bailed-to single op replays bit-identically.
+/// operand stack and set the frame pc to the sub-op where unfused
+/// execution would sit, so the bailed-to single op replays
+/// bit-identically.
 pub(crate) fn exec_fused(vm: &mut Vm, gid: Gid, pc: usize, fu: Fused) -> (u64, Flow) {
     match fu {
         Fused::NativeCallStmt { recv, name } => {
@@ -1302,7 +1303,7 @@ pub(crate) fn exec_fused(vm: &mut Vm, gid: Gid, pc: usize, fu: Fused) -> (u64, F
             vm.steps += 1;
             if vm.method_func(&rv, name).is_some() {
                 // User-declared method: frame pushes don't fuse. Restore
-                // the stack-tier state at the Call op and let the single
+                // the unfused state at the Call op and let the single
                 // op run it.
                 materialize_method(vm, gid, rv, name);
                 set_pc(vm, gid, pc + 2);

@@ -183,12 +183,29 @@ impl SchedulePolicy {
     }
 
     /// Reads the `DRFIX_POLICY` environment variable, defaulting to
-    /// [`SchedulePolicy::Random`] when unset or unparseable.
+    /// [`SchedulePolicy::Random`] when unset.
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set but is not a [`SchedulePolicy::parse`]
+    /// spec: a typo must not silently measure the default policy.
     pub fn from_env() -> Self {
-        std::env::var("DRFIX_POLICY")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
+        let value = std::env::var_os("DRFIX_POLICY").map(|v| v.to_string_lossy().into_owned());
+        Self::from_env_value(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves a `DRFIX_POLICY` value: unset is the default, set must
+    /// parse.
+    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(Self::default()),
+            Some(v) => Self::parse(v).ok_or_else(|| {
+                format!(
+                    "DRFIX_POLICY={v:?} is not a schedule policy; accepted: random, sweep, \
+                     pct, pct:<depth> or pct:<depth>:<budget>"
+                )
+            }),
+        }
     }
 
     /// Short label, e.g. `pct(d=3,b=2048)`.
@@ -375,6 +392,27 @@ mod tests {
         assert_eq!(SchedulePolicy::parse("pct:seven"), None);
         assert_eq!(SchedulePolicy::parse("fifo"), None);
         assert_eq!(SchedulePolicy::parse("pct:1:2:3"), None);
+    }
+
+    #[test]
+    fn env_value_defaults_only_when_unset() {
+        assert_eq!(
+            SchedulePolicy::from_env_value(None),
+            Ok(SchedulePolicy::Random)
+        );
+        assert_eq!(
+            SchedulePolicy::from_env_value(Some("pct:5")),
+            Ok(SchedulePolicy::Pct {
+                depth: 5,
+                budget: PCT_DEFAULT_BUDGET
+            })
+        );
+        for bad in ["pct:3:x", "fifo", ""] {
+            let err = SchedulePolicy::from_env_value(Some(bad)).unwrap_err();
+            assert!(err.contains("DRFIX_POLICY"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("pct:<depth>:<budget>"), "{err}");
+        }
     }
 
     #[test]

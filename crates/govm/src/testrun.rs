@@ -127,8 +127,8 @@ pub struct TestOutcome {
     /// Deterministic hot-path counters summed over the executed runs.
     pub counters: RunCounters,
     /// Fused superinstructions executed, summed over the executed runs
-    /// (always 0 on the stack tier — the physical register-tier
-    /// engagement gauge, deliberately outside [`RunCounters`]).
+    /// (always 0 under [`crate::ProgContext::without_fusion`] — the
+    /// physical fusion gauge, deliberately outside [`RunCounters`]).
     pub fused_ops: u64,
 }
 
@@ -171,6 +171,22 @@ pub fn run_test_with(prog: &Program, test: &str, opts: VmOptions) -> RunResult {
 /// interleavings, or once `cfg.max_total_steps` instructions have been
 /// spent — both default to off.
 pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
+    // One shared name-table context for the whole campaign: the per-run
+    // VMs skip the pool re-interning that dominates short runs.
+    run_test_many_with_context(prog, &Rc::new(ProgContext::new(prog)), test, cfg)
+}
+
+/// [`run_test_many`] on a caller-built per-program context, shared by
+/// every run (see [`Vm::with_context`]). The differential suites pass
+/// [`ProgContext::without_fusion`] here to replay whole campaigns on
+/// the unfused reference.
+#[doc(hidden)]
+pub fn run_test_many_with_context(
+    prog: &Program,
+    ctx: &Rc<ProgContext>,
+    test: &str,
+    cfg: &TestConfig,
+) -> TestOutcome {
     let mut races: Vec<RaceReport> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut sigs = std::collections::HashSet::new();
@@ -184,9 +200,6 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
     let mut stop = StopReason::Completed;
     let mut counters = RunCounters::default();
     let mut fused_ops = 0u64;
-    // One shared name-table context for the whole campaign: the per-run
-    // VMs skip the pool re-interning that dominates short runs.
-    let ctx = Rc::new(ProgContext::new(prog));
     for i in 0..cfg.runs {
         // The budget never cancels the first run: a campaign that
         // executes zero schedules would report vacuously clean, which a

@@ -20,50 +20,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Which exec loop interprets the program.
-///
-/// Both tiers run the same compiled `Op` stream and are bit-identical
-/// on everything logical — races, bug hashes, schedule signatures,
-/// [`RunCounters`] — pinned by the golden suites and the cross-tier
-/// differential proptest. The register tier additionally consults the
-/// per-program fused-superinstruction tables (see [`crate::lower`]) to
-/// collapse the hottest four-op stack sequences into one dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tier {
-    /// The original stack-machine loop — the golden reference.
-    #[default]
-    Stack,
-    /// The lowered register/superinstruction loop.
-    Reg,
-}
-
-impl Tier {
-    /// Parses a tier spec: `stack`, or `reg`/`register`.
-    pub fn parse(spec: &str) -> Option<Self> {
-        match spec.trim().to_ascii_lowercase().as_str() {
-            "stack" => Some(Tier::Stack),
-            "reg" | "register" => Some(Tier::Reg),
-            _ => None,
-        }
-    }
-
-    /// Reads `DRFIX_TIER` from the environment (default: `Stack`).
-    pub fn from_env() -> Self {
-        std::env::var("DRFIX_TIER")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Short display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Tier::Stack => "stack",
-            Tier::Reg => "reg",
-        }
-    }
-}
-
 /// VM configuration.
 #[derive(Debug, Clone)]
 pub struct VmOptions {
@@ -100,12 +56,6 @@ pub struct VmOptions {
     /// bench harness measures the recall it costs instead of letting
     /// it pass silently.
     pub sample_mod: u32,
-    /// Which exec loop to run (see [`Tier`]). Defaults to the
-    /// `DRFIX_TIER` environment knob, so an entire pipeline — testrun,
-    /// fleet, campaign, perfscan — switches tier without any config
-    /// plumbing; code that needs a fixed tier sets this field
-    /// explicitly.
-    pub tier: Tier,
 }
 
 impl Default for VmOptions {
@@ -119,7 +69,6 @@ impl Default for VmOptions {
             sync_epoch_cache: true,
             shadow_gc: true,
             sample_mod: 1,
-            tier: Tier::from_env(),
         }
     }
 }
@@ -237,10 +186,11 @@ pub struct RunResult {
     pub schedule_sig: u64,
     /// Scheduling decisions made during the run.
     pub sched_points: u64,
-    /// Fused superinstructions executed (register tier only; always 0
-    /// on the stack tier). Deliberately *not* part of [`RunCounters`]:
-    /// the logical counters are pinned bit-identical across tiers, and
-    /// this is the physical evidence the register tier engaged.
+    /// Fused superinstructions executed (always 0 under
+    /// [`ProgContext::without_fusion`]). Deliberately *not* part of
+    /// [`RunCounters`]: the logical counters are pinned bit-identical
+    /// to the unfused reference, and this is the physical evidence that
+    /// fusion engaged.
     pub fused_ops: u64,
     /// Deterministic hot-path cost counters (see [`RunCounters`]).
     pub counters: RunCounters,
@@ -378,9 +328,9 @@ pub struct ProgContext {
     frame_table: Vec<(u32, u32)>,
     /// Per-function `pc → frame id` tables.
     func_frames: Vec<Vec<u32>>,
-    /// Per-function fused-superinstruction tables (the register tier's
-    /// lowered form; see [`crate::lower`]). Built once per program and
-    /// shared by every run — the stack tier never consults them.
+    /// Per-function fused-superinstruction tables (the lowered form;
+    /// see [`crate::lower`]). Built once per program and shared by
+    /// every run; empty under [`ProgContext::without_fusion`].
     fused: Vec<Vec<Option<Fused>>>,
     /// Pool name id → native method, the table behind id-indexed native
     /// dispatch: every method name the program can utter is resolved to
@@ -390,7 +340,8 @@ pub struct ProgContext {
 }
 
 impl ProgContext {
-    /// Interns `prog`'s string pool and stack-frame tables.
+    /// Interns `prog`'s string pool and stack-frame tables, and lowers
+    /// its fused superinstructions.
     pub fn new(prog: &Program) -> Self {
         let names: Vec<Rc<str>> = prog.pool.iter().map(|s| Rc::from(s.as_str())).collect();
         let name_map = names
@@ -435,6 +386,19 @@ impl ProgContext {
             func_frames,
             fused,
             pool_natives,
+        }
+    }
+
+    /// The unfused reference context: identical to [`ProgContext::new`]
+    /// but with empty fused tables, so the exec loop runs every op
+    /// singly — exactly the op sequence the goldens were captured on.
+    /// The differential suites drive it through [`Vm::with_context`]
+    /// to prove fusion changes nothing logical.
+    #[doc(hidden)]
+    pub fn without_fusion(prog: &Program) -> Self {
+        ProgContext {
+            fused: vec![Vec::new(); prog.funcs.len()],
+            ..Self::new(prog)
         }
     }
 
@@ -484,7 +448,7 @@ pub struct Vm<'p> {
     /// Goroutine exits delivered to the detector (drives the periodic
     /// shadow-GC trigger; physical bookkeeping only).
     exits_seen: u64,
-    /// Fused superinstructions executed (register tier only).
+    /// Fused superinstructions executed.
     pub(crate) fused_ops: u64,
     /// High-water mark of the detector's estimated shadow bytes,
     /// sampled at lifecycle checkpoints.
@@ -1174,10 +1138,7 @@ impl<'p> Vm<'p> {
                 self.last_running = Some(decision.gid);
             }
             self.sched_points += 1;
-            match self.opts.tier {
-                Tier::Stack => self.run_goroutine(decision.gid, decision.quantum.max(1), budget),
-                Tier::Reg => self.run_goroutine_reg(decision.gid, decision.quantum.max(1), budget),
-            }
+            self.run_goroutine(decision.gid, decision.quantum.max(1), budget);
         }
     }
 
@@ -1232,7 +1193,7 @@ impl<'p> Vm<'p> {
         true
     }
 
-    /// Resumption work shared by both exec tiers: applies a pending
+    /// Resumption work before a quantum: applies a pending
     /// completed-op wake action, then retries a parked select. Returns
     /// `false` when the goroutine parked again or panicked — the
     /// quantum is over before it began.
@@ -1280,6 +1241,14 @@ impl<'p> Vm<'p> {
         true
     }
 
+    /// Runs one quantum of `gid`. At a pc carrying a fused
+    /// superinstruction whose whole window fits in the remaining
+    /// allowance, the window executes as one dispatch
+    /// ([`crate::ops::exec_fused`]); every other pc (including wake-ups
+    /// parked mid-window) executes a single op. The fused handler
+    /// charges steps and updates the frame pc per covered sub-op, so
+    /// preemption points, detector events and every logical counter
+    /// land exactly where single-op execution puts them.
     fn run_goroutine(&mut self, gid: Gid, quantum: u64, budget: u64) {
         if !self.resume_preamble(gid) {
             return;
@@ -1288,16 +1257,18 @@ impl<'p> Vm<'p> {
         // checks hoisted out: the step allowance is clamped to the
         // remaining budget up front, and `status` can only change on
         // paths that return (park, panic) or that re-check explicitly
-        // below (frame returns, which may finish or panic the goroutine
+        // (frame returns, which may finish or panic the goroutine
         // through deferred natives). `fatal` is checked per step: a
         // mid-quantum operand-stack underflow must stop execution
         // before the corrupted stack is interpreted further.
         let allowance = quantum.min(budget.saturating_sub(self.steps));
-        for _ in 0..allowance {
+        let mut used: u64 = 0;
+        while used < allowance {
             if self.fatal.is_some() {
                 return;
             }
             self.steps += 1;
+            used += 1;
 
             // One bounds-checked frame access per step: fetch the
             // function, pc and unwinding flag together.
@@ -1330,125 +1301,24 @@ impl<'p> Vm<'p> {
                 }
                 continue;
             }
-            match crate::ops::exec(self, gid, &code[pc]) {
-                Flow::Next => {
-                    if let Some(f) = self.gos[gid].frames.last_mut() {
-                        f.pc += 1;
-                    }
-                }
-                Flow::Jump(t) => {
-                    if let Some(f) = self.gos[gid].frames.last_mut() {
-                        f.pc = t;
-                    }
-                }
-                Flow::Stay => {}
-                Flow::Park(reason) => {
-                    let g = &mut self.gos[gid];
-                    g.status = Status::Blocked;
-                    g.block_reason = reason;
-                    return;
-                }
-                Flow::Returned(v) => {
-                    self.start_return(gid, v);
-                    if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                        return;
-                    }
-                }
-                Flow::Panic(msg) => {
-                    self.do_panic(gid, msg);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The register-tier quantum loop ([`Tier::Reg`]): identical to
-    /// [`Vm::run_goroutine`] except that, at a pc carrying a fused
-    /// superinstruction whose whole window fits in the remaining
-    /// allowance, the window executes as one dispatch
-    /// ([`crate::ops::exec_fused`]). The fused handler charges steps
-    /// and updates the frame pc per covered sub-op, so preemption
-    /// points, detector events and every logical counter land exactly
-    /// where the stack tier puts them; any pc without a fitting entry
-    /// (including wake-ups parked mid-window) falls back to the shared
-    /// single-op path.
-    fn run_goroutine_reg(&mut self, gid: Gid, quantum: u64, budget: u64) {
-        if !self.resume_preamble(gid) {
-            return;
-        }
-        let allowance = quantum.min(budget.saturating_sub(self.steps));
-        let mut used: u64 = 0;
-        while used < allowance {
-            if self.fatal.is_some() {
-                return;
-            }
-            self.steps += 1;
-            used += 1;
-
-            let Some((fid, pc, returning)) = self.gos[gid]
-                .frames
-                .last()
-                .map(|f| (f.func, f.pc, f.returning.is_some()))
-            else {
-                self.gos[gid].status = Status::Done;
-                return;
-            };
-            if returning {
-                self.proceed_return(gid);
-                if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                    return;
-                }
-                continue;
-            }
-            let code: &'p [crate::bytecode::Op] = &self.prog.funcs[fid as usize].code;
-            if pc >= code.len() {
-                self.start_return(gid, Value::Nil);
-                if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                    return;
-                }
-                continue;
-            }
             // Fused fast path — only when the remaining allowance covers
             // the whole window, so the preemption boundary is the same
-            // one the stack tier would hit.
-            if allowance - used >= (lower::FUSED_WIDTH as u64) - 1 {
-                if let Some(fu) = self.ctx.fused_at(fid, pc) {
+            // one single-op execution would hit.
+            let fused = if allowance - used >= (lower::FUSED_WIDTH as u64) - 1 {
+                self.ctx.fused_at(fid, pc)
+            } else {
+                None
+            };
+            let flow = match fused {
+                Some(fu) => {
                     self.fused_ops += 1;
                     let (extra, flow) = crate::ops::exec_fused(self, gid, pc, fu);
                     used += extra;
-                    match flow {
-                        Flow::Next => {
-                            if let Some(f) = self.gos[gid].frames.last_mut() {
-                                f.pc += 1;
-                            }
-                        }
-                        Flow::Jump(t) => {
-                            if let Some(f) = self.gos[gid].frames.last_mut() {
-                                f.pc = t;
-                            }
-                        }
-                        Flow::Stay => {}
-                        Flow::Park(reason) => {
-                            let g = &mut self.gos[gid];
-                            g.status = Status::Blocked;
-                            g.block_reason = reason;
-                            return;
-                        }
-                        Flow::Returned(v) => {
-                            self.start_return(gid, v);
-                            if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                                return;
-                            }
-                        }
-                        Flow::Panic(msg) => {
-                            self.do_panic(gid, msg);
-                            return;
-                        }
-                    }
-                    continue;
+                    flow
                 }
-            }
-            match crate::ops::exec(self, gid, &code[pc]) {
+                None => crate::ops::exec(self, gid, &code[pc]),
+            };
+            match flow {
                 Flow::Next => {
                     if let Some(f) = self.gos[gid].frames.last_mut() {
                         f.pc += 1;

@@ -1,18 +1,22 @@
-//! Differential property tests: the register tier is bit-identical to
-//! the stack tier.
+//! Differential property tests: fused execution is bit-identical to
+//! the unfused reference.
 //!
-//! The stack `Op` tier is the golden reference; the lowered register
-//! tier may only be *physically* faster. Every observable of a run —
-//! step count, schedule signature, hot-path counters, race reports and
-//! their stable bug hashes, test failures, output — must match bit for
-//! bit, on randomly generated `golite` programs, under every seed.
-//! `fused_ops` is the one deliberate exception: it is the physical
-//! evidence the register tier engaged, and must be zero on the stack
-//! tier and positive on fusible programs under the register tier.
+//! [`ProgContext::without_fusion`] drives the same exec loop with empty
+//! fused tables, so it executes every op singly — the op sequence the
+//! goldens were captured on. The production path ([`Vm::new`],
+//! [`run_test_many`]) fuses, and may only be *physically* faster. Every
+//! observable of a run — step count, schedule signature, hot-path
+//! counters, race reports and their stable bug hashes, test failures,
+//! output — must match bit for bit, on randomly generated `golite`
+//! programs, under every seed. `fused_ops` is the one deliberate
+//! exception: it is the physical evidence fusion engaged, and must be
+//! zero on the reference and positive on fusible programs by default.
+
+use std::rc::Rc;
 
 use govm::{
-    compile_sources, run_test_many, CompileOptions, Program, RunResult, TestConfig, Tier, Vm,
-    VmOptions,
+    compile_sources, run_test_many, run_test_many_with_context, CompileOptions, ProgContext,
+    Program, RunResult, TestConfig, Vm, VmOptions,
 };
 use proptest::prelude::*;
 
@@ -48,7 +52,7 @@ func Main() int {{
 }
 
 /// Unsynchronised counter: races on `total`, exercising the detector's
-/// report path (and its stable bug hashes) under both tiers.
+/// report path (and its stable bug hashes) fused and unfused.
 fn racy(workers: u8, iters: u8) -> String {
     format!(
         r#"package p
@@ -76,7 +80,7 @@ func Main() int {{
 
 /// RWMutex mix: concurrent readers push the detector through the
 /// read-shared state and its per-reader sync-epoch records — the cache
-/// the register tier generalised.
+/// fused lock/unlock windows hit.
 fn rw_mix(readers: u8, iters: u8) -> String {
     format!(
         r#"package p
@@ -123,19 +127,22 @@ fn compiled(src: String) -> Program {
     compile_sources(&[("m.go".into(), src)], &CompileOptions::default()).unwrap()
 }
 
-fn run_tier(prog: &Program, seed: u64, tier: Tier) -> RunResult {
-    let mut vm = Vm::new(
-        prog,
-        VmOptions {
-            seed,
-            tier,
-            ..VmOptions::default()
-        },
-    );
-    vm.run("Main", vec![])
+fn run_opts(seed: u64) -> VmOptions {
+    VmOptions {
+        seed,
+        ..VmOptions::default()
+    }
 }
 
-/// Asserts every logical observable of `a` (stack) and `b` (register)
+/// `(reference, fused)` runs of `Main` under `seed`.
+fn run_both(prog: &Program, seed: u64) -> (RunResult, RunResult) {
+    let reference = Rc::new(ProgContext::without_fusion(prog));
+    let a = Vm::with_context(prog, run_opts(seed), reference).run("Main", vec![]);
+    let b = Vm::new(prog, run_opts(seed)).run("Main", vec![]);
+    (a, b)
+}
+
+/// Asserts every logical observable of `a` (reference) and `b` (fused)
 /// matches bit for bit.
 fn assert_identical(a: &RunResult, b: &RunResult, ctx: &str) {
     assert_eq!(a.steps, b.steps, "{ctx}: step counts diverged");
@@ -156,74 +163,71 @@ fn assert_identical(a: &RunResult, b: &RunResult, ctx: &str) {
     );
     assert_eq!(a.test_failures, b.test_failures, "{ctx}: test failures");
     assert_eq!(a.output, b.output, "{ctx}: captured output diverged");
-    assert_eq!(a.fused_ops, 0, "{ctx}: stack tier must never fuse");
+    assert_eq!(a.fused_ops, 0, "{ctx}: the reference must never fuse");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn locked_counter_identical_across_tiers(seed in 0u64..5000, w in 1u8..5, k in 1u8..8) {
+    fn locked_counter_matches_unfused_reference(seed in 0u64..5000, w in 1u8..5, k in 1u8..8) {
         let prog = compiled(locked(w, k));
-        let a = run_tier(&prog, seed, Tier::Stack);
-        let b = run_tier(&prog, seed, Tier::Reg);
+        let (a, b) = run_both(&prog, seed);
         assert_identical(&a, &b, "locked counter");
-        // The guarded counter body is exactly the fusible shape; the
-        // register tier must actually have engaged.
-        prop_assert!(b.fused_ops > 0, "register tier executed no fused ops");
+        // The guarded counter body is exactly the fusible shape; fusion
+        // must actually have engaged.
+        prop_assert!(b.fused_ops > 0, "fused run executed no fused ops");
     }
 
     #[test]
-    fn racy_counter_identical_across_tiers(seed in 0u64..5000, w in 2u8..5, k in 1u8..8) {
+    fn racy_counter_matches_unfused_reference(seed in 0u64..5000, w in 2u8..5, k in 1u8..8) {
         let prog = compiled(racy(w, k));
-        let a = run_tier(&prog, seed, Tier::Stack);
-        let b = run_tier(&prog, seed, Tier::Reg);
+        let (a, b) = run_both(&prog, seed);
         prop_assert!(a.steps > 0, "run did no work");
         assert_identical(&a, &b, "racy counter");
     }
 
     #[test]
-    fn rwmutex_mix_identical_across_tiers(seed in 0u64..5000, r in 1u8..5, k in 1u8..8) {
+    fn rwmutex_mix_matches_unfused_reference(seed in 0u64..5000, r in 1u8..5, k in 1u8..8) {
         let prog = compiled(rw_mix(r, k));
-        let a = run_tier(&prog, seed, Tier::Stack);
-        let b = run_tier(&prog, seed, Tier::Reg);
+        let (a, b) = run_both(&prog, seed);
         prop_assert!(a.steps > 0, "run did no work");
         assert_identical(&a, &b, "rwmutex mix");
     }
 }
 
+/// Wraps `Main` in a test function, since campaigns drive tests.
+fn as_test(src: String) -> Program {
+    compiled(
+        src.replace("import \"sync\"", "import (\n\t\"sync\"\n\t\"testing\"\n)")
+            + "\nfunc TestMain(t *testing.T) {\n\tMain()\n}\n",
+    )
+}
+
+fn campaign_cfg() -> TestConfig {
+    TestConfig {
+        runs: 12,
+        seed: 0xD1FF,
+        stop_on_race: false,
+        ..TestConfig::default()
+    }
+}
+
 /// Campaign-level identity: whole seeded campaigns (dedup bookkeeping,
-/// counter aggregation, early-stop reasons) agree across tiers.
+/// counter aggregation, early-stop reasons) agree fused and unfused.
 #[test]
-fn campaigns_identical_across_tiers() {
+fn campaigns_match_unfused_reference() {
     for (label, src) in [
         ("locked", locked(3, 6)),
         ("racy", racy(3, 4)),
         ("rw-mix", rw_mix(3, 5)),
     ] {
-        // Campaigns drive test functions; wrap `Main` in one.
-        let src = src.replace("import \"sync\"", "import (\n\t\"sync\"\n\t\"testing\"\n)")
-            + "\nfunc TestMain(t *testing.T) {\n\tMain()\n}\n";
-        let prog = compiled(src);
-        let outcome = |tier: Tier| {
-            run_test_many(
-                &prog,
-                "TestMain",
-                &TestConfig {
-                    runs: 12,
-                    seed: 0xD1FF,
-                    stop_on_race: false,
-                    vm: VmOptions {
-                        tier,
-                        ..VmOptions::default()
-                    },
-                    ..TestConfig::default()
-                },
-            )
-        };
-        let a = outcome(Tier::Stack);
-        let b = outcome(Tier::Reg);
+        let prog = as_test(src);
+        let reference = Rc::new(ProgContext::without_fusion(&prog));
+        let a = run_test_many_with_context(&prog, &reference, "TestMain", &campaign_cfg());
+        let b = run_test_many(&prog, "TestMain", &campaign_cfg());
         assert!(a.steps > 0, "{label}: campaign did no work");
+        assert_eq!(a.fused_ops, 0, "{label}: the reference must never fuse");
         assert_eq!(a.steps, b.steps, "{label}: campaign steps");
         assert_eq!(a.counters, b.counters, "{label}: campaign counters");
         assert_eq!(a.races, b.races, "{label}: campaign races");
@@ -242,4 +246,18 @@ fn campaigns_identical_across_tiers() {
             "{label}: stop reason diverged"
         );
     }
+}
+
+/// The production default fuses: a campaign under the default
+/// [`TestConfig`] engages fused superinstructions on the locked-counter
+/// shape, with no option set.
+#[test]
+fn default_campaign_fuses() {
+    let prog = as_test(locked(3, 6));
+    let out = run_test_many(&prog, "TestMain", &TestConfig::default());
+    assert!(out.steps > 0, "campaign did no work");
+    assert!(
+        out.fused_ops > 0,
+        "the default configuration executed no fused ops"
+    );
 }

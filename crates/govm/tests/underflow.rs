@@ -5,7 +5,9 @@
 //! this is corrupted or hand-mutated bytecode; the VM must fail loudly
 //! rather than compute on phantom values.
 
-use govm::{compile_sources, CompileOptions, Op, Tier, Vm, VmOptions};
+use std::rc::Rc;
+
+use govm::{compile_sources, CompileOptions, Op, ProgContext, Vm, VmOptions};
 
 fn underflowing_program() -> govm::Program {
     let src = r#"package p
@@ -28,24 +30,24 @@ func Main() int {
 
 #[test]
 fn stack_underflow_is_fatal() {
-    for tier in [Tier::Stack, Tier::Reg] {
-        let prog = underflowing_program();
-        let mut vm = Vm::new(
-            &prog,
-            VmOptions {
-                seed: 7,
-                tier,
-                ..VmOptions::default()
-            },
-        );
-        let r = vm.run("Main", vec![]);
+    let prog = underflowing_program();
+    let contexts = [
+        ("fused", ProgContext::new(&prog)),
+        ("unfused", ProgContext::without_fusion(&prog)),
+    ];
+    for (label, ctx) in contexts {
+        let opts = VmOptions {
+            seed: 7,
+            ..VmOptions::default()
+        };
+        let r = Vm::with_context(&prog, opts, Rc::new(ctx)).run("Main", vec![]);
         let err = r
             .error
-            .unwrap_or_else(|| panic!("{tier:?}: underflow must abort the run"));
+            .unwrap_or_else(|| panic!("{label}: underflow must abort the run"));
         let msg = format!("{err:?}");
         assert!(
             msg.contains("operand stack underflow"),
-            "{tier:?}: wrong error: {msg}"
+            "{label}: wrong error: {msg}"
         );
     }
 }

@@ -1,4 +1,4 @@
-# Tier-1 verification for the Dr.Fix reproduction workspace.
+# Verification gates for the Dr.Fix reproduction workspace.
 # Convenience mirror of the Makefile (which CI invokes); if the gates
 # change, update both.
 
@@ -48,14 +48,6 @@ exposure-smoke:
 tournament-smoke:
     DRFIX_THREADS=2 cargo test --release -q --test tournament_ab
 
-# The CI `tier-smoke` job: exposure suite + goldens replayed under
-# DRFIX_TIER=reg (logical observables must hold unchanged on the
-# register tier), plus the dedicated tier differential suites.
-tier-smoke:
-    DRFIX_TIER=reg cargo test --release -q --test exposure_suite --test hotpath_golden --test lockregime_golden --test shadowgc_golden
-    cargo test --release -q -p govm --test tier_differential --test underflow
-    cargo test --release -q -p bench --test tier_invariance
-
 # Static-analyzer false-positive sweep: statcheck must stay silent on
 # every correct program family while the misuse fixtures keep firing.
 lint-corpus:
@@ -72,7 +64,6 @@ perf-smoke:
 perf-baseline:
     env -u DRFIX_PERF_CASES -u DRFIX_PERF_RUNS -u DRFIX_PERF_HEAP_CASES -u DRFIX_PERF_CHURN_CASES \
     -u DRFIX_PERF_GATE_CASES -u DRFIX_PERF_TOURNAMENT_CASES \
-    -u DRFIX_PERF_NOCACHE -u DRFIX_PERF_NOGC \
     DRFIX_PERF_REPEAT=10 cargo run --release -q -p bench --bin perfscan
 
 # The CI `campaign-smoke` job: kill a pipelined campaign at its first
