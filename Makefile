@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale fixbench-check clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -133,6 +133,21 @@ campaign-scale:
 ## full ≥1M-step soak runs in the tier-1 `test` target (default scale).
 soak-smoke:
 	DRFIX_SOAK_GENS=120 $(CARGO) test --release -q --test streaming_soak
+
+## The CI `fixbench-check` job: every fixbench workload, short and
+## untraced, on seeds 0 and 7919. Each run replays its campaign digest
+## and compares its outputs with fixbench/references.tsv, exiting
+## non-zero on any mismatch — an end-to-end bit-identity guard for
+## refactors of the fix service.
+FIXBENCH_WORKLOADS = detect-exposure fix-mixed deploy-eval
+FIXBENCH_SEEDS = 0 7919
+fixbench-check:
+	@for w in $(FIXBENCH_WORKLOADS); do for s in $(FIXBENCH_SEEDS); do \
+	  echo "fixbench-check: $$w seed $$s"; \
+	  $(CARGO) run --release --quiet --offline --manifest-path fixbench/Cargo.toml -- \
+	    --workload $$w --seed $$s --seconds 1 --trace 0 || exit 1; \
+	done; done
+	@echo "fixbench-check: every workload matched its references"
 
 clean:
 	$(CARGO) clean

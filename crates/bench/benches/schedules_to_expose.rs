@@ -24,16 +24,10 @@
 //! the paper runs 1000 schedules per validation), `DRFIX_THREADS`
 //! (fleet width).
 
+use bench::env_knob;
 use corpus::{CorpusConfig, RaceCase, RaceCategory};
 use drfix::fleet::{self, FleetConfig};
 use govm::{compile_sources, run_test_many, CompileOptions, SchedulePolicy, TestConfig};
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Median over a slice (nearest-rank on a sorted copy).
 fn median(xs: &[u64]) -> u64 {
@@ -80,9 +74,9 @@ fn expose(case: &RaceCase, policy: &SchedulePolicy, max_sched: u32, seed: u64) -
 }
 
 fn main() {
-    let cases_total = env_usize("DRFIX_STE_CASES", 56);
-    let max_sched = env_usize("DRFIX_STE_MAX_SCHED", 200) as u32;
-    let validation_runs = env_usize("DRFIX_STE_VALIDATION_RUNS", 256) as u32;
+    let cases_total: usize = env_knob("DRFIX_STE_CASES", 56);
+    let max_sched: u32 = env_knob("DRFIX_STE_MAX_SCHED", 200);
+    let validation_runs: u32 = env_knob("DRFIX_STE_VALIDATION_RUNS", 256);
     let fleet_cfg = FleetConfig::from_env();
 
     bench::header(

@@ -37,6 +37,7 @@
 //! Exit codes: 0 completed, 3 halted at the kill switch (snapshot
 //! written, resumable), 1 error.
 
+use bench::env_knob;
 use drfix::campaign::{run_campaign, CampaignConfig, CampaignMode, Snapshot};
 use drfix::campaign::{CampaignRun, Tallies};
 use drfix::PipelineConfig;
@@ -46,13 +47,6 @@ use std::process::ExitCode;
 
 /// Exit code of a run stopped by `--halt-after-checkpoints`.
 const EXIT_HALTED: u8 = 3;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_str(name: &str, default: &str) -> String {
     std::env::var(name).unwrap_or_else(|_| default.to_string())
@@ -90,10 +84,10 @@ fn parse_cli() -> Result<Cli, String> {
     let cmd = args.next().ok_or_else(|| usage().to_string())?;
     let mut cli = Cli {
         cmd,
-        cases: env_u64("DRFIX_CAMPAIGN_CASES", 10_000) as usize,
-        shards: env_u64("DRFIX_CAMPAIGN_SHARDS", 8) as usize,
-        workers: env_u64("DRFIX_CAMPAIGN_WORKERS", 4) as usize,
-        seed: env_u64("DRFIX_CAMPAIGN_SEED", 0xD27F17),
+        cases: env_knob("DRFIX_CAMPAIGN_CASES", 10_000),
+        shards: env_knob("DRFIX_CAMPAIGN_SHARDS", 8),
+        workers: env_knob("DRFIX_CAMPAIGN_WORKERS", 4),
+        seed: env_knob("DRFIX_CAMPAIGN_SEED", 0xD27F17),
         family: env_str("DRFIX_CAMPAIGN_FAMILY", "exposure"),
         mode: env_str("DRFIX_CAMPAIGN_MODE", "detect"),
         checkpoint_every: 64,

@@ -22,6 +22,7 @@
 //! report and returns the violations — `perfscan --check` is the CI
 //! `perf-gate` entry point.
 
+use crate::env_knob;
 use corpus::{CorpusConfig, RaceCase};
 use drfix::fleet::FleetConfig;
 use drfix::PipelineConfig;
@@ -130,22 +131,16 @@ impl Default for HotpathScale {
 impl HotpathScale {
     /// Reads `DRFIX_PERF_*` from the environment.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         let d = HotpathScale::default();
         HotpathScale {
-            cases: get("DRFIX_PERF_CASES", d.cases),
-            runs: get("DRFIX_PERF_RUNS", d.runs as usize) as u32,
-            repeat: get("DRFIX_PERF_REPEAT", d.repeat).max(1),
-            heap_cases: get("DRFIX_PERF_HEAP_CASES", d.heap_cases),
-            churn_cases: get("DRFIX_PERF_CHURN_CASES", d.churn_cases),
-            gate_cases: get("DRFIX_PERF_GATE_CASES", d.gate_cases),
-            tournament_cases: get("DRFIX_PERF_TOURNAMENT_CASES", d.tournament_cases),
-            campaign_cases: get("DRFIX_PERF_CAMPAIGN_CASES", d.campaign_cases),
+            cases: env_knob("DRFIX_PERF_CASES", d.cases),
+            runs: env_knob("DRFIX_PERF_RUNS", d.runs),
+            repeat: env_knob("DRFIX_PERF_REPEAT", d.repeat).max(1),
+            heap_cases: env_knob("DRFIX_PERF_HEAP_CASES", d.heap_cases),
+            churn_cases: env_knob("DRFIX_PERF_CHURN_CASES", d.churn_cases),
+            gate_cases: env_knob("DRFIX_PERF_GATE_CASES", d.gate_cases),
+            tournament_cases: env_knob("DRFIX_PERF_TOURNAMENT_CASES", d.tournament_cases),
+            campaign_cases: env_knob("DRFIX_PERF_CAMPAIGN_CASES", d.campaign_cases),
         }
     }
 }

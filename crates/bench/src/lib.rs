@@ -2,7 +2,8 @@
 //!
 //! Every bench target regenerates one table or figure of the paper by
 //! running the real pipeline over the seeded corpus. Environment knobs
-//! keep `cargo bench` runtimes reasonable:
+//! keep `cargo bench` runtimes reasonable (a set-but-malformed value
+//! panics, naming the variable, see [`env_knob`]):
 //!
 //! - `DRFIX_CASES` — evaluation corpus size (default 120; the paper's
 //!   403 reproduces the same shapes, just slower);
@@ -32,6 +33,7 @@ pub mod hotpath;
 use corpus::{CorpusConfig, RaceCase};
 use drfix::fleet::{self, FleetConfig, FleetStats};
 use drfix::{ExampleDb, FixOutcome, PipelineConfig, RagMode, SchedulePolicy};
+use std::str::FromStr;
 use std::sync::OnceLock;
 use synthllm::ModelTier;
 
@@ -53,24 +55,43 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `DRFIX_*` env vars.
+    /// Reads the scale from `DRFIX_*` env vars (see [`env_knob`]).
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         Scale {
-            cases: get("DRFIX_CASES", 120),
-            db_pairs: get("DRFIX_DB_PAIRS", 272),
-            validation_runs: get("DRFIX_VALIDATION_RUNS", 12) as u32,
+            cases: env_knob("DRFIX_CASES", 120),
+            db_pairs: env_knob("DRFIX_DB_PAIRS", 272),
+            validation_runs: env_knob("DRFIX_VALIDATION_RUNS", 12),
             policy: SchedulePolicy::from_env(),
-            dedup_streak: match get("DRFIX_DEDUP_STREAK", 8) as u32 {
+            dedup_streak: match env_knob("DRFIX_DEDUP_STREAK", 8) {
                 0 => None,
                 k => Some(k),
             },
         }
+    }
+}
+
+/// Reads one numeric scale knob from the environment: unset is
+/// `default`.
+///
+/// # Panics
+///
+/// When the variable is set but does not parse as a `T`: a typo must
+/// not silently run the default workload.
+pub fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    knob_value(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Resolves a knob value: unset is `default`, set must parse as a `T`.
+fn knob_value<T: FromStr>(name: &str, value: Option<&str>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.trim().parse().map_err(|_| {
+            format!(
+                "{name}={v:?} is not a valid value; accepted: {}",
+                std::any::type_name::<T>()
+            )
+        }),
     }
 }
 
@@ -246,6 +267,21 @@ mod tests {
             assert_eq!(par.outcomes, serial.outcomes, "threads={threads}");
             assert_eq!(par.fixed(), serial.fixed());
         }
+    }
+
+    #[test]
+    fn knob_value_defaults_only_when_unset() {
+        assert_eq!(knob_value("DRFIX_CASES", None, 120usize), Ok(120));
+        assert_eq!(knob_value("DRFIX_CASES", Some("40"), 120usize), Ok(40));
+        assert_eq!(knob_value("DRFIX_CASES", Some(" 7 "), 120usize), Ok(7));
+        for bad in ["forty", "-1", "", "4e2"] {
+            let err = knob_value("DRFIX_CASES", Some(bad), 120usize).unwrap_err();
+            assert!(err.contains("DRFIX_CASES"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("usize"), "{err}");
+        }
+        // Narrower knobs reject what their type cannot hold.
+        assert!(knob_value("DRFIX_VALIDATION_RUNS", Some("4294967296"), 12u32).is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! points in `tests/campaign_resume.rs`).
 
 use crate::fleet::{derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
-use crate::pipeline::{DrFix, FixOutcome, PipelineConfig};
+use crate::pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 use crate::raceinfo;
 use corpus::stream::{CorpusStream, StreamConfig};
 use corpus::RaceCase;
@@ -739,8 +739,12 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
     }
 }
 
-/// Stage 2 — diagnose: extract fix locations from the race report.
-fn stage_diagnose(item: &mut Item) {
+/// Stage 2 — diagnose: extract fix locations from the race report. A
+/// no-op in detect mode, where nothing reads the diagnosis.
+fn stage_diagnose(cfg: &CampaignConfig, item: &mut Item) {
+    if cfg.mode != CampaignMode::Fix {
+        return;
+    }
     if let (Some(report), Some(case)) = (&item.report, &item.case) {
         item.info = Some(raceinfo::extract(report, &case.files));
     }
@@ -753,18 +757,13 @@ fn stage_diagnose(item: &mut Item) {
 /// are dropped at the end — later stages never need them.
 fn stage_fix(cfg: &CampaignConfig, item: &mut Item, resident: &Resident) {
     if cfg.mode == CampaignMode::Fix {
-        let pcfg = per_case_cfg(cfg, item.index);
-        let tournament = pcfg.tournament.clone();
-        let drfix = DrFix::new(pcfg, None);
-        match (&item.case, &item.report, &item.info) {
-            (Some(case), Some(report), Some(info)) => {
-                if let Some(tcfg) = tournament {
-                    item.build = Some(drfix.tournament_pool(&case.files, info, &tcfg));
-                } else {
-                    item.fix = Some(drfix.fix_from_report(&case.files, &case.test, report));
-                }
-            }
-            _ => item.fix = Some(DrFix::unreproduced_outcome()),
+        let drfix = DrFix::new(per_case_cfg(cfg, item.index), None);
+        match (&item.case, &item.info) {
+            (Some(case), Some(info)) => match &drfix.cfg.tournament {
+                Some(tcfg) => item.build = Some(drfix.tournament_pool(&case.files, info, tcfg)),
+                None => item.fix = Some(drfix.fix_from_report(&case.files, &case.test, info)),
+            },
+            _ => item.fix = Some(FixOutcome::unfixed(FailureKind::NotReproduced, None)),
         }
     }
     if item.case.take().is_some() {
@@ -776,44 +775,30 @@ fn stage_fix(cfg: &CampaignConfig, item: &mut Item, resident: &Resident) {
 /// campaign them, crown the winner), then compact the outcome.
 fn stage_validate(cfg: &CampaignConfig, mut item: Item) -> (usize, CaseOutcome) {
     if let Some(build) = item.build.take() {
-        let pcfg = per_case_cfg(cfg, item.index);
-        let tcfg = pcfg
+        let drfix = DrFix::new(per_case_cfg(cfg, item.index), None);
+        let tcfg = drfix
+            .cfg
             .tournament
-            .clone()
+            .as_ref()
             .expect("pool build without tournament config");
         let info = item.info.as_ref().expect("pool build without race info");
-        let drfix = DrFix::new(pcfg, None);
-        item.fix = Some(drfix.tournament_decide(&item.test, info, &tcfg, build));
+        item.fix = Some(drfix.tournament_decide(&item.test, info, tcfg, build));
     }
-    let o = match &item.fix {
-        Some(f) => CaseOutcome {
-            index: item.index,
-            stop: item.stop,
-            raced: item.report.is_some(),
-            fixed: f.fixed,
-            llm_calls: f.llm_calls,
-            validations: f.validations,
-            rejected_static: f.rejected_static,
-            detect_vm_steps: item.detect_vm_steps,
-            validation_vm_steps: f.validation_vm_steps,
-            peak_shadow_bytes: item.peak_shadow_bytes,
-            patch_loc: f.patch_loc.unwrap_or(0) as u64,
-            bug_fnv: item.bug_fnv,
-        },
-        None => CaseOutcome {
-            index: item.index,
-            stop: item.stop,
-            raced: item.report.is_some(),
-            fixed: false,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            detect_vm_steps: item.detect_vm_steps,
-            validation_vm_steps: 0,
-            peak_shadow_bytes: item.peak_shadow_bytes,
-            patch_loc: 0,
-            bug_fnv: item.bug_fnv,
-        },
+    // Detect mode never runs a fix arm: its ledger is the empty default.
+    let f = item.fix.take().unwrap_or_default();
+    let o = CaseOutcome {
+        index: item.index,
+        stop: item.stop,
+        raced: item.report.is_some(),
+        fixed: f.fixed,
+        llm_calls: f.llm_calls,
+        validations: f.validations,
+        rejected_static: f.rejected_static,
+        detect_vm_steps: item.detect_vm_steps,
+        validation_vm_steps: f.validation_vm_steps,
+        peak_shadow_bytes: item.peak_shadow_bytes,
+        patch_loc: f.patch_loc.unwrap_or(0) as u64,
+        bug_fnv: item.bug_fnv,
     };
     (item.shard, o)
 }
@@ -1000,7 +985,7 @@ fn run_serial(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>
         stage_cases[0] += 1;
         let t1 = Instant::now();
         stage_busy[0] += (t1 - t0).as_secs_f64();
-        stage_diagnose(&mut item);
+        stage_diagnose(cfg, &mut item);
         stage_cases[1] += 1;
         let t2 = Instant::now();
         stage_busy[1] += (t2 - t1).as_secs_f64();
@@ -1139,7 +1124,7 @@ fn run_pipelined(
                 let t0 = Instant::now();
                 while let Ok(mut item) = rx_ab.recv() {
                     d_in.received();
-                    stage_diagnose(&mut item);
+                    stage_diagnose(cfg, &mut item);
                     stage_cases[1].fetch_add(1, Ordering::Relaxed);
                     d_out.sending();
                     if tx.send(item).is_err() {
@@ -1289,6 +1274,21 @@ mod tests {
             );
             assert_eq!(run.snapshot.digest(), serial.snapshot.digest());
         }
+    }
+
+    #[test]
+    fn detect_mode_never_diagnoses() {
+        let mut cfg = small_cfg(12, 1);
+        let stream = CorpusStream::new(cfg.stream);
+        let mut item = (0..cfg.cases)
+            .map(|i| stage_detect(&cfg, &stream, i, 0))
+            .find(|item| item.report.is_some())
+            .expect("exposure stream exposed no race");
+        stage_diagnose(&cfg, &mut item);
+        assert!(item.info.is_none(), "detect mode extracted race info");
+        cfg.mode = CampaignMode::Fix;
+        stage_diagnose(&cfg, &mut item);
+        assert!(item.info.is_some(), "fix mode skipped diagnosis");
     }
 
     #[test]

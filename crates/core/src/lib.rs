@@ -87,6 +87,6 @@ pub use tournament::{
     TournamentReport,
 };
 pub use validate::{
-    static_probe, validate_patch, validate_patch_report, validate_patch_with, StaticProbe,
-    ValidationOptions, ValidationOutcome, Verdict,
+    static_probe, validate_patch, validate_patch_report, StaticProbe, ValidationOptions,
+    ValidationOutcome, Verdict,
 };

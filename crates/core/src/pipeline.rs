@@ -6,13 +6,13 @@
 //! many schedules. The first validated patch wins.
 
 use crate::database::{ExampleDb, RagMode};
-use crate::raceinfo::{self, FixLocation, LocationKind};
-use crate::validate::{validate_patch_report, ValidationOptions, Verdict};
+use crate::raceinfo::{self, FixLocation, LocationKind, RaceInfo};
+use crate::validate::{validate_patch_report, ValidationOptions, ValidationOutcome, Verdict};
 use golite::ast::Decl;
 use golite::visit::RenamePkg;
 use govm::{compile_sources, CompileOptions, SchedulePolicy, TestConfig};
 use serde::{Deserialize, Serialize};
-use synthllm::{Feedback, FixRequest, ModelTier, Scope, SynthLlm};
+use synthllm::{Example, Feedback, FixRequest, ModelTier, RaceCategory, Scope, SynthLlm};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
@@ -95,8 +95,9 @@ pub enum FailureKind {
     Unfixed,
 }
 
-/// The outcome of one `GetAFix` run.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of one `GetAFix` run. [`Default`] is the empty ledger
+/// of a case no fix arm ran on.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FixOutcome {
     /// Whether a validated patch was produced.
     pub fixed: bool,
@@ -135,6 +136,56 @@ pub struct FixOutcome {
     pub tournament: Option<crate::tournament::TournamentReport>,
 }
 
+impl FixOutcome {
+    /// A case that produced no patch, for `failure`, carrying the
+    /// diagnosis when the race reproduced. The fix arms start from this
+    /// and fill in their ledger; accepting a patch clears `failure`.
+    pub(crate) fn unfixed(failure: FailureKind, info: Option<&RaceInfo>) -> FixOutcome {
+        FixOutcome {
+            duration_minutes: duration_minutes(0, 0),
+            failure: Some(failure),
+            bug_hash: info.map(|i| i.bug_hash.clone()),
+            racy_var: info.map(|i| i.racy_var.clone()),
+            ..FixOutcome::default()
+        }
+    }
+}
+
+/// One `(location, scope, example)` site of the fix sweep: the prompt
+/// code of a location under a scope, plus the example arm.
+pub(crate) struct Site<'a> {
+    /// The fix location (its `kind` is the sweep's location kind).
+    pub(crate) loc: &'a FixLocation,
+    /// The prompt scope.
+    pub(crate) scope: Scope,
+    code: String,
+    context_funcs: usize,
+    /// The retrieved example and its category (`None` = empty example).
+    pub(crate) example: Option<(Example, RaceCategory)>,
+}
+
+impl Site<'_> {
+    /// The model request for this site under `feedback`.
+    pub(crate) fn request(&self, info: &RaceInfo, feedback: Vec<Feedback>) -> FixRequest {
+        FixRequest {
+            code: self.code.clone(),
+            scope: self.scope,
+            racy_var: info.racy_var.clone(),
+            racy_lines: self.loc.lines.clone(),
+            example: self.example.as_ref().map(|(e, _)| e.clone()),
+            feedback,
+            context_funcs: self.context_funcs,
+            focus_func: Some(self.loc.function.clone()),
+            case_key: info.bug_hash.clone(),
+        }
+    }
+
+    /// Category of the retrieved example, if this is an example arm.
+    pub(crate) fn example_category(&self) -> Option<RaceCategory> {
+        self.example.as_ref().map(|(_, c)| *c)
+    }
+}
+
 /// The Dr.Fix system: configuration plus the example database.
 pub struct DrFix<'db> {
     pub(crate) cfg: PipelineConfig,
@@ -155,198 +206,172 @@ impl<'db> DrFix<'db> {
     /// Runs the full loop on one case: `files` is the codebase, `test`
     /// the test that exercises the race.
     ///
-    /// Structured as detect (`DrFix::reproduce`) then fix
-    /// (`DrFix::fix_from_report`) so the campaign orchestrator can run
-    /// the two halves in different pipeline stages while sharing this
-    /// exact code path.
+    /// Structured as detect (`DrFix::reproduce`), diagnose
+    /// ([`raceinfo::extract`]) and fix (`DrFix::fix_from_report`) so the
+    /// campaign orchestrator can run the three in different pipeline
+    /// stages while sharing this exact code path.
     pub fn fix_case(&self, files: &[(String, String)], test: &str) -> FixOutcome {
         match self.reproduce(files, test) {
-            Some(report) => self.fix_from_report(files, test, &report),
-            None => Self::unreproduced_outcome(),
+            Some(report) => self.fix_from_report(files, test, &raceinfo::extract(&report, files)),
+            None => FixOutcome::unfixed(FailureKind::NotReproduced, None),
         }
     }
 
-    /// The outcome of a case whose race never reproduced under the
-    /// detection schedules — identical whichever arm would have run.
-    pub(crate) fn unreproduced_outcome() -> FixOutcome {
-        FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            duration_minutes: 4.0,
-            patch_loc: None,
-            failure: Some(FailureKind::NotReproduced),
-            bug_hash: None,
-            racy_var: None,
-            tournament: None,
-        }
-    }
-
-    /// Everything after detection: diagnose the reproduced race and run
-    /// the configured fix arm (single-path loop or tournament).
+    /// Everything after diagnosis: run the configured fix arm
+    /// (single-path loop or tournament) on the diagnosed race.
     pub(crate) fn fix_from_report(
         &self,
         files: &[(String, String)],
         test: &str,
-        report: &racedet::RaceReport,
+        info: &RaceInfo,
     ) -> FixOutcome {
-        if let Some(tcfg) = self.cfg.tournament.clone() {
-            return self.fix_from_report_tournament(files, test, report, &tcfg);
+        if let Some(tcfg) = &self.cfg.tournament {
+            let build = self.tournament_pool(files, info, tcfg);
+            return self.tournament_decide(test, info, tcfg, build);
         }
-        let mut out = FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            duration_minutes: 0.0,
-            patch_loc: None,
-            failure: None,
-            bug_hash: None,
-            racy_var: None,
-            tournament: None,
-        };
-        let info = raceinfo::extract(report, files);
-        out.bug_hash = Some(info.bug_hash.clone());
-        out.racy_var = Some(info.racy_var.clone());
-
+        let mut out = FixOutcome::unfixed(FailureKind::Unfixed, Some(info));
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-
-        // Visible files: internal code only (§5.6: races whose frames sit
-        // in external/vendored code do not fit the workflow).
-        let visible = |name: &str| !name.starts_with("vendor_");
-
-        for kind in &self.cfg.locations {
-            let locations: Vec<&FixLocation> = info
-                .locations
-                .iter()
-                .filter(|l| l.kind == *kind && visible(&l.file))
-                .collect();
-            for loc in locations {
-                for &scope in &self.cfg.scopes {
-                    let Some((code, context_funcs)) = self.scope_code(files, loc, scope) else {
+        for site in self.sweep(files, info) {
+            let mut feedback: Vec<Feedback> = Vec::new();
+            for _attempt in 0..=self.cfg.retries {
+                let req = site.request(
+                    info,
+                    if self.cfg.feedback {
+                        feedback.clone()
+                    } else {
+                        Vec::new()
+                    },
+                );
+                out.llm_calls += 1;
+                let resp = llm.generate(&req);
+                let Some(new_code) = resp.code else {
+                    break; // the model declined this arm
+                };
+                let patched = match self.integrate(files, site.loc, site.scope, &new_code) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        feedback.push(Feedback {
+                            strategy: resp.strategy,
+                            message: format!("build failed: {e}"),
+                        });
                         continue;
-                    };
-                    // The empty example is always attempted first (§4.4);
-                    // retrieval activates only if needed (§5.7.1).
-                    let mut example_arms = vec![None];
-                    if self.cfg.rag != RagMode::None {
-                        if let Some(db) = self.db {
-                            if let Some((ex, cat, _score)) =
-                                db.retrieve(self.cfg.rag, &code, &info.racy_var, &loc.lines)
-                            {
-                                example_arms.push(Some((ex, cat)));
-                            }
-                        }
                     }
-                    for arm in &example_arms {
-                        let mut feedback: Vec<Feedback> = Vec::new();
-                        for _attempt in 0..=self.cfg.retries {
-                            let req = FixRequest {
-                                code: code.clone(),
-                                scope,
-                                racy_var: info.racy_var.clone(),
-                                racy_lines: loc.lines.clone(),
-                                example: arm.as_ref().map(|(e, _)| e.clone()),
-                                feedback: if self.cfg.feedback {
-                                    feedback.clone()
-                                } else {
-                                    Vec::new()
-                                },
-                                context_funcs,
-                                focus_func: Some(loc.function.clone()),
-                                case_key: info.bug_hash.clone(),
-                            };
-                            out.llm_calls += 1;
-                            let resp = llm.generate(&req);
-                            let Some(new_code) = resp.code else {
-                                break; // the model declined this arm
-                            };
-                            let patched = match self.integrate(files, loc, scope, &new_code) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    feedback.push(Feedback {
-                                        strategy: resp.strategy,
-                                        message: format!("build failed: {e}"),
-                                    });
-                                    continue;
-                                }
-                            };
-                            out.validations += 1;
-                            // Each validation campaign samples a fresh
-                            // schedule set: deriving the seed from the
-                            // attempt ordinal is what lets feedback
-                            // retries escape schedule-sampling luck.
-                            let validation_seed = crate::fleet::derive_validation_seed(
-                                self.cfg.seed,
-                                &info.bug_hash,
-                                out.validations,
-                            );
-                            let vcfg = TestConfig {
-                                runs: self.cfg.validation_runs,
-                                seed: validation_seed,
-                                stop_on_race: false,
-                                policy: self.cfg.validate_policy.clone(),
-                                max_total_steps: self.cfg.validation_step_budget,
-                                dedup_streak: self.cfg.validation_dedup_streak,
-                                ..TestConfig::default()
-                            };
-                            let report = validate_patch_report(
-                                &patched,
-                                test,
-                                &info.bug_hash,
-                                &vcfg,
-                                &ValidationOptions {
-                                    static_gate: self.cfg.static_gate,
-                                },
-                            );
-                            out.validation_vm_steps += report.vm_steps;
-                            if report.rejected_static {
-                                out.rejected_static += 1;
-                            }
-                            match report.verdict {
-                                Verdict::Ok => {
-                                    out.fixed = true;
-                                    out.patch_loc = Some(patch_loc(files, &patched));
-                                    out.patch = Some(patched);
-                                    out.strategy = resp.strategy;
-                                    out.location = Some(*kind);
-                                    out.scope = Some(scope);
-                                    out.example_used = arm.is_some();
-                                    out.example_category = arm.as_ref().map(|(_, c)| *c);
-                                    out.duration_minutes =
-                                        duration_minutes(out.llm_calls, out.validations);
-                                    return out;
-                                }
-                                Verdict::Fail(msg) => {
-                                    feedback.push(Feedback {
-                                        strategy: resp.strategy,
-                                        message: msg,
-                                    });
-                                }
-                            }
-                        }
+                };
+                out.validations += 1;
+                let report = self.validate(
+                    &patched,
+                    test,
+                    &info.bug_hash,
+                    out.validations,
+                    self.cfg.static_gate,
+                );
+                out.validation_vm_steps += report.vm_steps;
+                out.rejected_static += u32::from(report.rejected_static);
+                match report.verdict {
+                    Verdict::Ok => {
+                        out.fixed = true;
+                        out.failure = None;
+                        out.patch_loc = Some(patch_loc(files, &patched));
+                        out.patch = Some(patched);
+                        out.strategy = resp.strategy;
+                        out.location = Some(site.loc.kind);
+                        out.scope = Some(site.scope);
+                        out.example_used = site.example.is_some();
+                        out.example_category = site.example_category();
+                        out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
+                        return out;
+                    }
+                    Verdict::Fail(msg) => {
+                        feedback.push(Feedback {
+                            strategy: resp.strategy,
+                            message: msg,
+                        });
                     }
                 }
             }
         }
-        out.failure = Some(FailureKind::Unfixed);
         out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
         out
+    }
+
+    /// The `(location, scope, example)` sweep of Listing 13, shared by
+    /// both fix arms: location kinds in configured order, the
+    /// internal-code locations of each kind, then scopes, then the
+    /// empty example followed by the retrieved one. Lazy — a
+    /// `(location, scope)` pair's prompt code is cut and its example
+    /// retrieved only when the sweep reaches it, so a consumer that
+    /// stops early queries the database no further.
+    pub(crate) fn sweep<'a>(
+        &'a self,
+        files: &'a [(String, String)],
+        info: &'a RaceInfo,
+    ) -> impl Iterator<Item = Site<'a>> + 'a {
+        self.cfg
+            .locations
+            .iter()
+            .flat_map(move |&kind| {
+                // Visible files: internal code only (§5.6: races whose
+                // frames sit in external/vendored code do not fit the
+                // workflow).
+                info.locations
+                    .iter()
+                    .filter(move |l| l.kind == kind && !l.file.starts_with("vendor_"))
+            })
+            .flat_map(move |loc| self.cfg.scopes.iter().map(move |&scope| (loc, scope)))
+            .filter_map(move |(loc, scope)| {
+                let (code, context_funcs) = self.scope_code(files, loc, scope)?;
+                // The empty example is always attempted first (§4.4);
+                // retrieval activates only if needed (§5.7.1).
+                let example = self
+                    .db
+                    .and_then(|db| db.retrieve(self.cfg.rag, &code, &info.racy_var, &loc.lines));
+                let guided = example.map(|(ex, cat, _score)| Site {
+                    loc,
+                    scope,
+                    code: code.clone(),
+                    context_funcs,
+                    example: Some((ex, cat)),
+                });
+                let plain = Site {
+                    loc,
+                    scope,
+                    code,
+                    context_funcs,
+                    example: None,
+                };
+                Some(std::iter::once(plain).chain(guided))
+            })
+            .flatten()
+    }
+
+    /// Validates one candidate patch under a fresh schedule campaign.
+    /// `attempt` keys the campaign's seed: each validation samples its
+    /// own schedule set, which is what lets feedback retries escape
+    /// schedule-sampling luck.
+    pub(crate) fn validate(
+        &self,
+        patched: &[(String, String)],
+        test: &str,
+        bug_hash: &str,
+        attempt: u32,
+        static_gate: bool,
+    ) -> ValidationOutcome {
+        let cfg = TestConfig {
+            runs: self.cfg.validation_runs,
+            seed: crate::fleet::derive_validation_seed(self.cfg.seed, bug_hash, attempt),
+            stop_on_race: false,
+            policy: self.cfg.validate_policy.clone(),
+            max_total_steps: self.cfg.validation_step_budget,
+            dedup_streak: self.cfg.validation_dedup_streak,
+            ..TestConfig::default()
+        };
+        validate_patch_report(
+            patched,
+            test,
+            bug_hash,
+            &cfg,
+            &ValidationOptions { static_gate },
+        )
     }
 
     /// Runs the detection campaign, returning the full [`govm`] test

@@ -3,6 +3,7 @@
 
 use racedet::RaceReport;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The three fix-location kinds of §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,12 +51,23 @@ pub struct RaceInfo {
 /// Extracts candidate fix locations from a report, resolving function
 /// names to the files of `codebase` (`(name, source)` pairs).
 pub fn extract(report: &RaceReport, codebase: &[(String, String)]) -> RaceInfo {
+    // Each file parses once: the first file (in codebase order) that
+    // declares a function name owns it; unparseable files declare
+    // nothing.
+    let mut declared: HashMap<String, &str> = HashMap::new();
+    for (name, src) in codebase {
+        if let Ok(file) = golite::parse_file(src) {
+            for f in file.funcs() {
+                declared.entry(f.name.clone()).or_insert(name);
+            }
+        }
+    }
     let mut locations: Vec<FixLocation> = Vec::new();
     let mut push = |kind: LocationKind, function: &str, line: Option<u32>| {
         // The closure's frame names look like `parent.func1` — the
         // editable declaration is the parent function.
         let decl = function.split('.').next().unwrap_or(function).to_owned();
-        let Some(file) = file_of_function(codebase, &decl) else {
+        let Some(file) = declared.get(&decl).map(|&f| f.to_owned()) else {
             return;
         };
         if let Some(existing) = locations
@@ -149,18 +161,6 @@ fn lowest_common_ancestor(report: &RaceReport) -> Option<String> {
     lca
 }
 
-/// Finds the file declaring `function`.
-pub fn file_of_function(codebase: &[(String, String)], function: &str) -> Option<String> {
-    for (name, src) in codebase {
-        if let Ok(file) = golite::parse_file(src) {
-            if file.find_func(function).is_some() {
-                return Some(name.clone());
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +235,37 @@ mod tests {
         r.accesses[0].stack[0] = frame("ghostFn", 1);
         let info = extract(&r, &codebase());
         assert!(info.locations.iter().all(|l| l.function != "ghostFn"));
+    }
+
+    #[test]
+    fn first_declaring_file_wins() {
+        // `Worker` is declared in two files (and an unparseable file
+        // comes first): every location resolves to the first file in
+        // codebase order that parses and declares it.
+        let worker = "package p\n\nfunc Worker() {\n}\n".to_owned();
+        let files = vec![
+            (
+                "broken.go".to_owned(),
+                "package p\n\nfunc Worker( {\n".to_owned(),
+            ),
+            ("b.go".to_owned(), worker.clone()),
+            ("a.go".to_owned(), worker),
+            ("main.go".to_owned(), codebase()[0].1.clone()),
+        ];
+        let info = extract(&report(), &files);
+        let workers: Vec<&str> = info
+            .locations
+            .iter()
+            .filter(|l| l.function == "Worker")
+            .map(|l| l.file.as_str())
+            .collect();
+        assert!(!workers.is_empty());
+        assert!(workers.iter().all(|&f| f == "b.go"), "{workers:?}");
+        let test = &info.locations[0];
+        assert_eq!(
+            (test.function.as_str(), test.file.as_str()),
+            ("TestWorker", "main.go")
+        );
     }
 
     #[test]

@@ -30,11 +30,8 @@
 //!   dynamically-clean patch).
 
 use crate::pipeline::{patch_loc, DrFix, FailureKind, FixOutcome};
-use crate::raceinfo::{self, FixLocation, LocationKind};
-use crate::validate::{
-    static_probe, validate_patch_report, StaticProbe, ValidationOptions, Verdict,
-};
-use govm::TestConfig;
+use crate::raceinfo::{FixLocation, LocationKind, RaceInfo};
+use crate::validate::{static_probe, StaticProbe, Verdict};
 use synthllm::{Candidate, Feedback, FixRequest, RaceCategory, Scope, StrategyKind, SynthLlm};
 
 /// Configuration of the tournament arm. `None` on
@@ -153,10 +150,8 @@ pub fn candidate_rank(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cm
 pub(crate) struct PoolEntry {
     cand: Candidate,
     req: FixRequest,
-    kind: LocationKind,
     loc: FixLocation,
     scope: Scope,
-    example_used: bool,
     example_category: Option<RaceCategory>,
     patched: Vec<(String, String)>,
     ploc: usize,
@@ -180,8 +175,9 @@ fn pool_key(patched: &[(String, String)]) -> String {
 /// candidate pool in discovery order plus the accounting accrued while
 /// building it. The campaign orchestrator carries this value from its
 /// fix stage (zero VM steps) to its validate stage; within one process
-/// the split is invisible — [`DrFix::fix_from_report_tournament`] is
-/// exactly `tournament_pool` then `tournament_decide`.
+/// the split is invisible — the tournament branch of
+/// [`DrFix::fix_from_report`] is exactly `tournament_pool` then
+/// `tournament_decide`.
 pub(crate) struct PoolBuild {
     pool: Vec<PoolEntry>,
     llm_calls: u32,
@@ -190,19 +186,6 @@ pub(crate) struct PoolBuild {
 }
 
 impl DrFix<'_> {
-    /// Runs one reproduced case through the tournament arm.
-    pub(crate) fn fix_from_report_tournament(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-        report: &racedet::RaceReport,
-        tcfg: &TournamentConfig,
-    ) -> FixOutcome {
-        let info = raceinfo::extract(report, files);
-        let build = self.tournament_pool(files, &info, tcfg);
-        self.tournament_decide(test, &info, tcfg, build)
-    }
-
     /// Phases 1–2: enumerate the candidate pool and run the iterated
     /// static-repair loop. Consults only the synthetic model and
     /// `statcheck` — **zero VM instructions** — so the campaign can run
@@ -210,12 +193,11 @@ impl DrFix<'_> {
     pub(crate) fn tournament_pool(
         &self,
         files: &[(String, String)],
-        info: &raceinfo::RaceInfo,
+        info: &RaceInfo,
         tcfg: &TournamentConfig,
     ) -> PoolBuild {
         let mut llm_calls = 0u32;
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-        let visible = |name: &str| !name.starts_with("vendor_");
 
         // ── Phase 1: enumerate the candidate pool ────────────────────
         //
@@ -233,82 +215,45 @@ impl DrFix<'_> {
         } else {
             1
         };
-        for kind in &self.cfg.locations {
-            let locations: Vec<&FixLocation> = info
-                .locations
-                .iter()
-                .filter(|l| l.kind == *kind && visible(&l.file))
-                .collect();
-            for loc in locations {
-                for &scope in &self.cfg.scopes {
-                    let Some((code, context_funcs)) = self.scope_code(files, loc, scope) else {
+        for site in self.sweep(files, info) {
+            for pass in 0..passes {
+                // Synthetic feedback reproduces the attempt ordinal
+                // without naming a failed strategy: exclusions only
+                // shrink the ranking, and the pool already holds the
+                // whole window.
+                let feedback: Vec<Feedback> = (0..pass)
+                    .map(|_| Feedback {
+                        strategy: None,
+                        message: "prior candidate failed validation".into(),
+                    })
+                    .collect();
+                let req = site.request(info, feedback);
+                llm_calls += 1;
+                for cand in llm.enumerate(&req, tcfg.max_candidates) {
+                    let Ok(patched) = self.integrate(files, site.loc, site.scope, &cand.code)
+                    else {
                         continue;
                     };
-                    let mut example_arms = vec![None];
-                    if self.cfg.rag != crate::database::RagMode::None {
-                        if let Some(db) = self.db {
-                            if let Some((ex, cat, _score)) =
-                                db.retrieve(self.cfg.rag, &code, &info.racy_var, &loc.lines)
-                            {
-                                example_arms.push(Some((ex, cat)));
-                            }
-                        }
+                    if !seen.insert(pool_key(&patched)) {
+                        continue;
                     }
-                    for arm in &example_arms {
-                        for pass in 0..passes {
-                            // Synthetic feedback reproduces the attempt
-                            // ordinal without naming a failed strategy:
-                            // exclusions only shrink the ranking, and
-                            // the pool already holds the whole window.
-                            let feedback: Vec<Feedback> = (0..pass)
-                                .map(|_| Feedback {
-                                    strategy: None,
-                                    message: "prior candidate failed validation".into(),
-                                })
-                                .collect();
-                            let req = FixRequest {
-                                code: code.clone(),
-                                scope,
-                                racy_var: info.racy_var.clone(),
-                                racy_lines: loc.lines.clone(),
-                                example: arm.as_ref().map(|(e, _)| e.clone()),
-                                feedback,
-                                context_funcs,
-                                focus_func: Some(loc.function.clone()),
-                                case_key: info.bug_hash.clone(),
-                            };
-                            llm_calls += 1;
-                            let cands = llm.enumerate(&req, tcfg.max_candidates);
-                            for cand in cands {
-                                let Ok(patched) = self.integrate(files, loc, scope, &cand.code)
-                                else {
-                                    continue;
-                                };
-                                if !seen.insert(pool_key(&patched)) {
-                                    continue;
-                                }
-                                let ploc = patch_loc(files, &patched);
-                                pool.push(PoolEntry {
-                                    cand,
-                                    req: req.clone(),
-                                    kind: *kind,
-                                    loc: loc.clone(),
-                                    scope,
-                                    example_used: arm.is_some(),
-                                    example_category: arm.as_ref().map(|(_, c)| *c),
-                                    patched,
-                                    ploc,
-                                    repair_iters: 0,
-                                    probe: StaticProbe {
-                                        errors: 0,
-                                        warnings: 0,
-                                        first_rule: None,
-                                        broken: false,
-                                    },
-                                });
-                            }
-                        }
-                    }
+                    let ploc = patch_loc(files, &patched);
+                    pool.push(PoolEntry {
+                        cand,
+                        req: req.clone(),
+                        loc: site.loc.clone(),
+                        scope: site.scope,
+                        example_category: site.example_category(),
+                        patched,
+                        ploc,
+                        repair_iters: 0,
+                        probe: StaticProbe {
+                            errors: 0,
+                            warnings: 0,
+                            first_rule: None,
+                            broken: false,
+                        },
+                    });
                 }
             }
         }
@@ -358,10 +303,8 @@ impl DrFix<'_> {
                 pool.push(PoolEntry {
                     cand: rep,
                     req: pool[current].req.clone(),
-                    kind: pool[current].kind,
                     loc: pool[current].loc.clone(),
                     scope: pool[current].scope,
-                    example_used: pool[current].example_used,
                     example_category: pool[current].example_category,
                     patched,
                     ploc,
@@ -385,7 +328,7 @@ impl DrFix<'_> {
     pub(crate) fn tournament_decide(
         &self,
         test: &str,
-        info: &raceinfo::RaceInfo,
+        info: &RaceInfo,
         tcfg: &TournamentConfig,
         build: PoolBuild,
     ) -> FixOutcome {
@@ -396,23 +339,8 @@ impl DrFix<'_> {
             total_repairs,
         } = build;
         let mut out = FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
             llm_calls,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            duration_minutes: 0.0,
-            patch_loc: None,
-            failure: None,
-            bug_hash: Some(info.bug_hash.clone()),
-            racy_var: Some(info.racy_var.clone()),
-            tournament: None,
+            ..FixOutcome::unfixed(FailureKind::Unfixed, Some(info))
         };
 
         // ── Phase 3: rank, validate survivors, crown the winner ──────
@@ -450,36 +378,13 @@ impl DrFix<'_> {
                 continue;
             }
             out.validations += 1;
-            let validation_seed = crate::fleet::derive_validation_seed(
-                self.cfg.seed,
-                &info.bug_hash,
-                // Key the campaign on the candidate id, not the sweep
-                // position: the schedule set a candidate faces must not
-                // depend on which others entered or left the pool.
-                i as u32 + 1,
-            );
-            let vcfg = TestConfig {
-                runs: self.cfg.validation_runs,
-                seed: validation_seed,
-                stop_on_race: false,
-                policy: self.cfg.validate_policy.clone(),
-                max_total_steps: self.cfg.validation_step_budget,
-                dedup_streak: self.cfg.validation_dedup_streak,
-                ..TestConfig::default()
-            };
-            let vreport = validate_patch_report(
-                &entry.patched,
-                test,
-                &info.bug_hash,
-                &vcfg,
-                &ValidationOptions {
-                    static_gate: self.cfg.static_gate,
-                },
-            );
+            // Key the campaign on the candidate id, not the sweep
+            // position: the schedule set a candidate faces must not
+            // depend on which others entered or left the pool. The
+            // static gate is off: `static_probe` already ran the same
+            // analysis on these bytes and found no error.
+            let vreport = self.validate(&entry.patched, test, &info.bug_hash, i as u32 + 1, false);
             out.validation_vm_steps += vreport.vm_steps;
-            if vreport.rejected_static {
-                out.rejected_static += 1;
-            }
             match vreport.verdict {
                 Verdict::Ok => {
                     if winner.is_none() {
@@ -502,9 +407,9 @@ impl DrFix<'_> {
             .map(|(i, e)| CandidateReport {
                 id: i,
                 strategy: e.cand.strategy,
-                location: e.kind,
+                location: e.loc.kind,
                 scope: e.scope,
-                example_used: e.example_used,
+                example_used: e.example_category.is_some(),
                 confidence: e.cand.confidence,
                 patch_loc: e.ploc,
                 repair_iters: e.repair_iters,
@@ -517,15 +422,14 @@ impl DrFix<'_> {
         if let Some(w) = winner {
             let e = &pool[w];
             out.fixed = true;
+            out.failure = None;
             out.patch_loc = Some(e.ploc);
             out.patch = Some(e.patched.clone());
             out.strategy = Some(e.cand.strategy);
-            out.location = Some(e.kind);
+            out.location = Some(e.loc.kind);
             out.scope = Some(e.scope);
-            out.example_used = e.example_used;
+            out.example_used = e.example_category.is_some();
             out.example_category = e.example_category;
-        } else {
-            out.failure = Some(FailureKind::Unfixed);
         }
         out.duration_minutes = crate::pipeline::duration_minutes(out.llm_calls, out.validations);
         out.tournament = Some(TournamentReport {

@@ -4,7 +4,7 @@
 //!
 //! The schedule set a campaign explores is controlled by the
 //! [`govm::sched::SchedulePolicy`] carried in the [`TestConfig`]:
-//! [`validate_patch_with`] accepts the full campaign configuration
+//! [`validate_patch_report`] accepts the full campaign configuration
 //! (policy, per-run seed stream, dedup early-exit, instruction budget),
 //! while [`validate_patch`] keeps the simple runs-plus-seed entry point.
 //!
@@ -59,7 +59,7 @@ impl Default for ValidationOptions {
 /// Full report of one validation attempt.
 #[derive(Debug, Clone)]
 pub struct ValidationOutcome {
-    /// The verdict (what [`validate_patch_with`] returns).
+    /// The verdict (what [`validate_patch`] returns).
     pub verdict: Verdict,
     /// Whether the static gate rejected the candidate (no schedules ran).
     pub rejected_static: bool,
@@ -91,20 +91,7 @@ pub fn validate_patch(
         stop_on_race: false,
         ..TestConfig::default()
     };
-    validate_patch_with(files, test, bug_hash, &cfg)
-}
-
-/// [`validate_patch`] with an explicit campaign configuration: the
-/// schedule policy, per-run seed stream, saturation early-exit and
-/// instruction budget all come from `cfg`. Runs with the static gate
-/// enabled (the default pipeline configuration).
-pub fn validate_patch_with(
-    files: &[(String, String)],
-    test: &str,
-    bug_hash: &str,
-    cfg: &TestConfig,
-) -> Verdict {
-    validate_patch_report(files, test, bug_hash, cfg, &ValidationOptions::default()).verdict
+    validate_patch_report(files, test, bug_hash, &cfg, &ValidationOptions::default()).verdict
 }
 
 /// Renders a build failure with the failing file and line when the
@@ -375,7 +362,14 @@ func TestWork(t *testing.T) {
             policy: SchedulePolicy::pct(),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = validate_patch_report(
+            &[("a.go".into(), RACY.into())],
+            "TestWork",
+            "x",
+            &cfg,
+            &ValidationOptions::default(),
+        )
+        .verdict;
         assert!(v.message().unwrap().contains("data race"));
         // …and clean code validates even with dedup early-exit and a
         // campaign instruction budget switched on.
@@ -387,7 +381,14 @@ func TestWork(t *testing.T) {
             max_total_steps: Some(500_000),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), CLEAN.into())], "TestWork", "x", &cfg);
+        let v = validate_patch_report(
+            &[("a.go".into(), CLEAN.into())],
+            "TestWork",
+            "x",
+            &cfg,
+            &ValidationOptions::default(),
+        )
+        .verdict;
         assert!(v.is_ok(), "{:?}", v.message());
     }
 
@@ -527,7 +528,14 @@ func TestWork(t *testing.T) {
             runs: 0,
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = validate_patch_report(
+            &[("a.go".into(), RACY.into())],
+            "TestWork",
+            "x",
+            &cfg,
+            &ValidationOptions::default(),
+        )
+        .verdict;
         assert!(v.message().unwrap().contains("no schedules"), "{v:?}");
         // A zero instruction budget still runs (at least) one schedule,
         // so the racy program is caught rather than vacuously passed.
@@ -536,7 +544,14 @@ func TestWork(t *testing.T) {
             max_total_steps: Some(0),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = validate_patch_report(
+            &[("a.go".into(), RACY.into())],
+            "TestWork",
+            "x",
+            &cfg,
+            &ValidationOptions::default(),
+        )
+        .verdict;
         assert!(v.message().unwrap().contains("data race"), "{v:?}");
     }
 }

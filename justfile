@@ -83,6 +83,12 @@ campaign-scale:
 soak-smoke:
     DRFIX_SOAK_GENS=120 cargo test --release -q --test streaming_soak
 
+# The CI `fixbench-check` job: every fixbench workload, short and
+# untraced, on seeds 0 and 7919; exits non-zero on any reference or
+# digest mismatch (see the Makefile recipe).
+fixbench-check:
+    make fixbench-check
+
 # Run every table/figure reproduction at reduced scale.
 bench-all:
     DRFIX_CASES=60 DRFIX_VALIDATION_RUNS=8 cargo bench -p bench

@@ -81,44 +81,62 @@ fn campaign_is_bit_identical_across_shard_and_worker_plans() {
 /// The stage-split proof: detect → diagnose → fix → validate run as
 /// four pipelined stages must produce exactly what the monolithic
 /// `DrFix::fix_case` produces on every streamed case — same fixes, same
-/// LLM-call ledger, same validation instruction counts.
+/// LLM-call ledger, same validation instruction counts — on both fix
+/// arms: the single-path loop (which runs whole in the fix stage) and
+/// the tournament (split across the fix and validate stages).
 #[test]
 fn fix_mode_campaign_agrees_with_direct_fix_case() {
     let cases = 10usize;
-    let mut cfg = detect_cfg(cases, 2);
-    cfg.mode = CampaignMode::Fix;
-    cfg.workers = 4;
-    cfg.stream.family = StreamFamily::Mixed;
-    cfg.pipeline.tournament = Some(TournamentConfig::default());
-    let run = run_campaign(&cfg, None, None).unwrap();
-    let t = run.snapshot.tallies();
+    for tournament in [None, Some(TournamentConfig::default())] {
+        let arm = if tournament.is_some() {
+            "tournament"
+        } else {
+            "single-path"
+        };
+        let mut cfg = detect_cfg(cases, 2);
+        cfg.mode = CampaignMode::Fix;
+        cfg.workers = 4;
+        cfg.stream.family = StreamFamily::Mixed;
+        cfg.pipeline.tournament = tournament;
+        let run = run_campaign(&cfg, None, None).unwrap();
+        let t = run.snapshot.tallies();
 
-    let stream = CorpusStream::new(cfg.stream);
-    let mut fixed = 0u64;
-    let mut llm_calls = 0u64;
-    let mut validations = 0u64;
-    let mut rejected_static = 0u64;
-    let mut validation_vm_steps = 0u64;
-    for i in 0..cases {
-        let case = stream.case(i);
-        let mut pcfg = cfg.pipeline.clone();
-        pcfg.seed = derive_case_seed(cfg.pipeline.seed, i as u64);
-        let out = DrFix::new(pcfg, None).fix_case(&case.files, &case.test);
-        fixed += u64::from(out.fixed);
-        llm_calls += u64::from(out.llm_calls);
-        validations += u64::from(out.validations);
-        rejected_static += u64::from(out.rejected_static);
-        validation_vm_steps += out.validation_vm_steps;
+        let stream = CorpusStream::new(cfg.stream);
+        let mut fixed = 0u64;
+        let mut llm_calls = 0u64;
+        let mut validations = 0u64;
+        let mut rejected_static = 0u64;
+        let mut validation_vm_steps = 0u64;
+        for i in 0..cases {
+            let case = stream.case(i);
+            let mut pcfg = cfg.pipeline.clone();
+            pcfg.seed = derive_case_seed(cfg.pipeline.seed, i as u64);
+            let out = DrFix::new(pcfg, None).fix_case(&case.files, &case.test);
+            fixed += u64::from(out.fixed);
+            llm_calls += u64::from(out.llm_calls);
+            validations += u64::from(out.validations);
+            rejected_static += u64::from(out.rejected_static);
+            validation_vm_steps += out.validation_vm_steps;
+        }
+        assert!(fixed > 0, "{arm}: fix arm never landed a patch");
+        assert_eq!(
+            t.fixed, fixed,
+            "{arm}: campaign fixes diverged from fix_case"
+        );
+        assert_eq!(t.llm_calls, llm_calls, "{arm}: LLM-call ledger diverged");
+        assert_eq!(
+            t.validations, validations,
+            "{arm}: validation count diverged"
+        );
+        assert_eq!(
+            t.rejected_static, rejected_static,
+            "{arm}: gate ledger diverged"
+        );
+        assert_eq!(
+            t.validation_vm_steps, validation_vm_steps,
+            "{arm}: validation instruction ledger diverged"
+        );
     }
-    assert!(fixed > 0, "fix arm never landed a patch");
-    assert_eq!(t.fixed, fixed, "campaign fixes diverged from fix_case");
-    assert_eq!(t.llm_calls, llm_calls, "LLM-call ledger diverged");
-    assert_eq!(t.validations, validations, "validation count diverged");
-    assert_eq!(t.rejected_static, rejected_static, "gate ledger diverged");
-    assert_eq!(
-        t.validation_vm_steps, validation_vm_steps,
-        "validation instruction ledger diverged"
-    );
 }
 
 #[test]
