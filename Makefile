@@ -54,10 +54,11 @@ exposure-smoke:
 ## Tournament smoke: the multi-candidate tournament arm's acceptance
 ## suite on a 2-worker fleet — strict fix superset over the single-path
 ## loop, zero VM steps on lint-rejected rosters, and bit-identical
-## outcomes across thread counts and re-runs. Exits non-zero on any
-## regression.
+## outcomes across thread counts and re-runs — plus the fix-arm golden
+## (both arms' per-case outcomes and full tournament rosters). Exits
+## non-zero on any regression.
 tournament-smoke:
-	DRFIX_THREADS=2 $(CARGO) test --release -q --test tournament_ab
+	DRFIX_THREADS=2 $(CARGO) test --release -q --test tournament_ab --test fixarm_golden
 
 ## Static-analyzer false-positive sweep: statcheck over every program
 ## family the pipeline treats as correct (human fixes, clean control,

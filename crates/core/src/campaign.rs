@@ -48,6 +48,7 @@
 //! uninterrupted run exactly (proven by a proptest over random kill
 //! points in `tests/campaign_resume.rs`).
 
+use crate::codebase::{Codebase, FuncIndex};
 use crate::fleet::{derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
 use crate::pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 use crate::raceinfo;
@@ -664,6 +665,9 @@ struct Item {
     test: String,
     case: Option<RaceCase>,
     report: Option<racedet::RaceReport>,
+    /// Function → file index of the case, recorded at detection in fix
+    /// mode so diagnosis need not parse (syntax trees stay in-stage).
+    func_index: Option<FuncIndex>,
     info: Option<raceinfo::RaceInfo>,
     build: Option<crate::tournament::PoolBuild>,
     fix: Option<FixOutcome>,
@@ -707,7 +711,13 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
     let case = stream.case(index);
     let bytes = CorpusStream::case_bytes(&case);
     let drfix = DrFix::new(per_case_cfg(cfg, index), None);
-    let (stop, steps, shadow, report) = match drfix.detect_outcome(&case.files, &case.test) {
+    // The trees are dropped before any schedule runs; fix mode keeps
+    // only the small function index, for diagnosis.
+    let codebase = Codebase::parse(&case.files);
+    let prog = codebase.compile();
+    let func_index = (cfg.mode == CampaignMode::Fix).then(|| codebase.func_index());
+    drop(codebase);
+    let (stop, steps, shadow, report) = match prog.map(|prog| drfix.detect(&prog, &case.test)) {
         Some(out) => (
             out.stop,
             out.counters.vm_steps,
@@ -722,6 +732,7 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
         .as_ref()
         .map(|r| fnv1a64_fold(FNV1A_OFFSET, r.bug_hash().as_bytes()))
         .unwrap_or(0);
+    let func_index = func_index.filter(|_| report.is_some());
     Item {
         index,
         shard,
@@ -733,36 +744,39 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
         test: case.test.clone(),
         case: Some(case),
         report,
+        func_index,
         info: None,
         build: None,
         fix: None,
     }
 }
 
-/// Stage 2 — diagnose: extract fix locations from the race report. A
-/// no-op in detect mode, where nothing reads the diagnosis.
-fn stage_diagnose(cfg: &CampaignConfig, item: &mut Item) {
-    if cfg.mode != CampaignMode::Fix {
-        return;
-    }
-    if let (Some(report), Some(case)) = (&item.report, &item.case) {
-        item.info = Some(raceinfo::extract(report, &case.files));
+/// Stage 2 — diagnose: extract fix locations from the race report
+/// through the index detection recorded. A no-op in detect mode, where
+/// nothing reads the diagnosis (and no index is recorded).
+fn stage_diagnose(item: &mut Item) {
+    if let (Some(report), Some(index)) = (&item.report, item.func_index.take()) {
+        item.info = Some(raceinfo::extract_indexed(report, &index));
     }
 }
 
 /// Stage 3 — fix: run the fix arm's static half. With a tournament this
 /// is candidate enumeration + lint repair (zero VM steps); the
 /// single-path loop interleaves generation and validation by design, so
-/// it runs whole here and stage 4 passes it through. The case sources
-/// are dropped at the end — later stages never need them.
+/// it runs whole here and stage 4 passes it through. The stage parses
+/// the case once for its fix arm; the sources and that parse are dropped
+/// at the end — later stages never need them.
 fn stage_fix(cfg: &CampaignConfig, item: &mut Item, resident: &Resident) {
     if cfg.mode == CampaignMode::Fix {
         let drfix = DrFix::new(per_case_cfg(cfg, item.index), None);
         match (&item.case, &item.info) {
-            (Some(case), Some(info)) => match &drfix.cfg.tournament {
-                Some(tcfg) => item.build = Some(drfix.tournament_pool(&case.files, info, tcfg)),
-                None => item.fix = Some(drfix.fix_from_report(&case.files, &case.test, info)),
-            },
+            (Some(case), Some(info)) => {
+                let codebase = Codebase::parse(&case.files);
+                match &drfix.cfg.tournament {
+                    Some(tcfg) => item.build = Some(drfix.tournament_pool(&codebase, info, tcfg)),
+                    None => item.fix = Some(drfix.fix_from_report(&codebase, &case.test, info)),
+                }
+            }
             _ => item.fix = Some(FixOutcome::unfixed(FailureKind::NotReproduced, None)),
         }
     }
@@ -985,7 +999,7 @@ fn run_serial(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>
         stage_cases[0] += 1;
         let t1 = Instant::now();
         stage_busy[0] += (t1 - t0).as_secs_f64();
-        stage_diagnose(cfg, &mut item);
+        stage_diagnose(&mut item);
         stage_cases[1] += 1;
         let t2 = Instant::now();
         stage_busy[1] += (t2 - t1).as_secs_f64();
@@ -1124,7 +1138,7 @@ fn run_pipelined(
                 let t0 = Instant::now();
                 while let Ok(mut item) = rx_ab.recv() {
                     d_in.received();
-                    stage_diagnose(cfg, &mut item);
+                    stage_diagnose(&mut item);
                     stage_cases[1].fetch_add(1, Ordering::Relaxed);
                     d_out.sending();
                     if tx.send(item).is_err() {
@@ -1280,15 +1294,22 @@ mod tests {
     fn detect_mode_never_diagnoses() {
         let mut cfg = small_cfg(12, 1);
         let stream = CorpusStream::new(cfg.stream);
-        let mut item = (0..cfg.cases)
-            .map(|i| stage_detect(&cfg, &stream, i, 0))
-            .find(|item| item.report.is_some())
+        let raced = (0..cfg.cases)
+            .find(|&i| stage_detect(&cfg, &stream, i, 0).report.is_some())
             .expect("exposure stream exposed no race");
-        stage_diagnose(&cfg, &mut item);
+        let mut item = stage_detect(&cfg, &stream, raced, 0);
+        assert!(
+            item.func_index.is_none(),
+            "detect mode recorded a function index"
+        );
+        stage_diagnose(&mut item);
         assert!(item.info.is_none(), "detect mode extracted race info");
+        // Fix mode records the index at detection, and diagnosis spends it.
         cfg.mode = CampaignMode::Fix;
-        stage_diagnose(&cfg, &mut item);
+        let mut item = stage_detect(&cfg, &stream, raced, 0);
+        stage_diagnose(&mut item);
         assert!(item.info.is_some(), "fix mode skipped diagnosis");
+        assert!(item.func_index.is_none(), "the index outlived diagnosis");
     }
 
     #[test]

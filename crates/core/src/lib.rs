@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod codebase;
 pub mod database;
 pub mod fleet;
 pub mod pipeline;
@@ -76,11 +77,12 @@ pub use campaign::{
     run_campaign, CampaignConfig, CampaignMetrics, CampaignMode, CampaignRun, CaseOutcome,
     ShardProgress, Snapshot, Tallies, CAMPAIGN_SCHEMA,
 };
+pub use codebase::{Codebase, FuncIndex};
 pub use database::{ExampleDb, RagMode};
 pub use fleet::{FleetConfig, FleetRun, FleetStats};
 pub use govm::{SchedulePolicy, SeedStream};
 pub use pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
-pub use raceinfo::{extract, FixLocation, LocationKind, RaceInfo};
+pub use raceinfo::{extract, extract_indexed, FixLocation, LocationKind, RaceInfo};
 pub use review::{review_fix, survey, ReviewOutcome};
 pub use tournament::{
     candidate_rank, CandidateOutcome, CandidateReport, CandidateSelection, TournamentConfig,

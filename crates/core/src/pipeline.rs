@@ -5,14 +5,18 @@
 //! the model for a patch, splice it into the codebase, and validate under
 //! many schedules. The first validated patch wins.
 
+use crate::codebase::{Codebase, Revision};
 use crate::database::{ExampleDb, RagMode};
 use crate::raceinfo::{self, FixLocation, LocationKind, RaceInfo};
-use crate::validate::{validate_patch_report, ValidationOptions, ValidationOutcome, Verdict};
-use golite::ast::Decl;
+use crate::validate::{validate_parsed, ValidationOptions, ValidationOutcome, Verdict};
+use golite::ast::{self, Decl};
 use golite::visit::RenamePkg;
-use govm::{compile_sources, CompileOptions, SchedulePolicy, TestConfig};
+use govm::{SchedulePolicy, TestConfig};
 use serde::{Deserialize, Serialize};
-use synthllm::{Example, Feedback, FixRequest, ModelTier, RaceCategory, Scope, SynthLlm};
+use std::rc::Rc;
+use synthllm::{
+    Candidate, Example, Feedback, FixRequest, FixResponse, ModelTier, RaceCategory, Scope, SynthLlm,
+};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
@@ -151,6 +155,28 @@ impl FixOutcome {
     }
 }
 
+/// A site's prompt code, parsed once: at file scope the case file's
+/// cached tree, at function scope the wrapper's own parse, shared by the
+/// site's example arms, passes, retries and repairs.
+#[derive(Clone)]
+pub(crate) enum Prompt<'a> {
+    /// The case file verbatim (`Scope::File`).
+    Case(&'a ast::File),
+    /// The one-function wrapper (`Scope::Func`).
+    Wrapper(Rc<ast::File>),
+}
+
+impl std::ops::Deref for Prompt<'_> {
+    type Target = ast::File;
+
+    fn deref(&self) -> &ast::File {
+        match self {
+            Prompt::Case(file) => file,
+            Prompt::Wrapper(file) => file,
+        }
+    }
+}
+
 /// One `(location, scope, example)` site of the fix sweep: the prompt
 /// code of a location under a scope, plus the example arm.
 pub(crate) struct Site<'a> {
@@ -159,12 +185,29 @@ pub(crate) struct Site<'a> {
     /// The prompt scope.
     pub(crate) scope: Scope,
     code: String,
+    /// The parsed prompt (`None` when `code` does not parse).
+    pub(crate) prompt: Option<Prompt<'a>>,
     context_funcs: usize,
     /// The retrieved example and its category (`None` = empty example).
     pub(crate) example: Option<(Example, RaceCategory)>,
 }
 
 impl Site<'_> {
+    /// The model's response to `req`, a request for this site.
+    pub(crate) fn generate(&self, llm: &SynthLlm, req: &FixRequest) -> FixResponse {
+        match &self.prompt {
+            Some(prompt) => llm.generate_parsed(req, prompt),
+            None => llm.generate(req),
+        }
+    }
+
+    /// Up to `max` candidates for `req`, a request for this site.
+    pub(crate) fn enumerate(&self, llm: &SynthLlm, req: &FixRequest, max: usize) -> Vec<Candidate> {
+        self.prompt
+            .as_deref()
+            .map_or_else(Vec::new, |prompt| llm.enumerate_parsed(req, prompt, max))
+    }
+
     /// The model request for this site under `feedback`.
     pub(crate) fn request(&self, info: &RaceInfo, feedback: Vec<Feedback>) -> FixRequest {
         FixRequest {
@@ -206,13 +249,21 @@ impl<'db> DrFix<'db> {
     /// Runs the full loop on one case: `files` is the codebase, `test`
     /// the test that exercises the race.
     ///
-    /// Structured as detect (`DrFix::reproduce`), diagnose
-    /// ([`raceinfo::extract`]) and fix (`DrFix::fix_from_report`) so the
-    /// campaign orchestrator can run the three in different pipeline
-    /// stages while sharing this exact code path.
+    /// Structured as detect (`DrFix::detect`), diagnose
+    /// ([`raceinfo::extract_indexed`]) and fix (`DrFix::fix_from_report`)
+    /// so the campaign orchestrator can run the three in different
+    /// pipeline stages while sharing this exact code path. The case is
+    /// parsed once, for all three.
     pub fn fix_case(&self, files: &[(String, String)], test: &str) -> FixOutcome {
-        match self.reproduce(files, test) {
-            Some(report) => self.fix_from_report(files, test, &raceinfo::extract(&report, files)),
+        let codebase = Codebase::parse(files);
+        let report = codebase
+            .compile()
+            .and_then(|prog| self.detect(&prog, test).races.into_iter().next());
+        match report {
+            Some(report) => {
+                let info = raceinfo::extract_indexed(&report, &codebase.func_index());
+                self.fix_from_report(&codebase, test, &info)
+            }
             None => FixOutcome::unfixed(FailureKind::NotReproduced, None),
         }
     }
@@ -221,17 +272,17 @@ impl<'db> DrFix<'db> {
     /// (single-path loop or tournament) on the diagnosed race.
     pub(crate) fn fix_from_report(
         &self,
-        files: &[(String, String)],
+        codebase: &Codebase<'_>,
         test: &str,
         info: &RaceInfo,
     ) -> FixOutcome {
         if let Some(tcfg) = &self.cfg.tournament {
-            let build = self.tournament_pool(files, info, tcfg);
+            let build = self.tournament_pool(codebase, info, tcfg);
             return self.tournament_decide(test, info, tcfg, build);
         }
         let mut out = FixOutcome::unfixed(FailureKind::Unfixed, Some(info));
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-        for site in self.sweep(files, info) {
+        for site in self.sweep(codebase, info) {
             let mut feedback: Vec<Feedback> = Vec::new();
             for _attempt in 0..=self.cfg.retries {
                 let req = site.request(
@@ -243,12 +294,12 @@ impl<'db> DrFix<'db> {
                     },
                 );
                 out.llm_calls += 1;
-                let resp = llm.generate(&req);
+                let resp = site.generate(&llm, &req);
                 let Some(new_code) = resp.code else {
                     break; // the model declined this arm
                 };
-                let patched = match self.integrate(files, site.loc, site.scope, &new_code) {
-                    Ok(p) => p,
+                let rev = match self.integrate(codebase, site.loc, site.scope, &new_code) {
+                    Ok(rev) => rev,
                     Err(e) => {
                         feedback.push(Feedback {
                             strategy: resp.strategy,
@@ -258,8 +309,10 @@ impl<'db> DrFix<'db> {
                     }
                 };
                 out.validations += 1;
+                // The patched file parsed once feeds both the static
+                // gate and the compile.
                 let report = self.validate(
-                    &patched,
+                    &codebase.revise(&rev),
                     test,
                     &info.bug_hash,
                     out.validations,
@@ -271,8 +324,8 @@ impl<'db> DrFix<'db> {
                     Verdict::Ok => {
                         out.fixed = true;
                         out.failure = None;
-                        out.patch_loc = Some(patch_loc(files, &patched));
-                        out.patch = Some(patched);
+                        out.patch_loc = Some(patch_loc(codebase.files(), &rev.files));
+                        out.patch = Some(rev.files);
                         out.strategy = resp.strategy;
                         out.location = Some(site.loc.kind);
                         out.scope = Some(site.scope);
@@ -303,7 +356,7 @@ impl<'db> DrFix<'db> {
     /// stops early queries the database no further.
     pub(crate) fn sweep<'a>(
         &'a self,
-        files: &'a [(String, String)],
+        codebase: &'a Codebase<'_>,
         info: &'a RaceInfo,
     ) -> impl Iterator<Item = Site<'a>> + 'a {
         self.cfg
@@ -319,7 +372,7 @@ impl<'db> DrFix<'db> {
             })
             .flat_map(move |loc| self.cfg.scopes.iter().map(move |&scope| (loc, scope)))
             .filter_map(move |(loc, scope)| {
-                let (code, context_funcs) = self.scope_code(files, loc, scope)?;
+                let (code, context_funcs, prompt) = scope_code(codebase, loc, scope)?;
                 // The empty example is always attempted first (§4.4);
                 // retrieval activates only if needed (§5.7.1).
                 let example = self
@@ -329,6 +382,7 @@ impl<'db> DrFix<'db> {
                     loc,
                     scope,
                     code: code.clone(),
+                    prompt: prompt.clone(),
                     context_funcs,
                     example: Some((ex, cat)),
                 });
@@ -336,6 +390,7 @@ impl<'db> DrFix<'db> {
                     loc,
                     scope,
                     code,
+                    prompt,
                     context_funcs,
                     example: None,
                 };
@@ -350,7 +405,7 @@ impl<'db> DrFix<'db> {
     /// schedule-sampling luck.
     pub(crate) fn validate(
         &self,
-        patched: &[(String, String)],
+        patched: &Codebase<'_>,
         test: &str,
         bug_hash: &str,
         attempt: u32,
@@ -365,7 +420,7 @@ impl<'db> DrFix<'db> {
             dedup_streak: self.cfg.validation_dedup_streak,
             ..TestConfig::default()
         };
-        validate_patch_report(
+        validate_parsed(
             patched,
             test,
             bug_hash,
@@ -374,17 +429,11 @@ impl<'db> DrFix<'db> {
         )
     }
 
-    /// Runs the detection campaign, returning the full [`govm`] test
-    /// outcome (stop reason, counters, any exposed races) — `None` when
-    /// the sources do not compile. [`DrFix::reproduce`] is the
-    /// race-or-nothing view; the campaign orchestrator keeps the whole
-    /// outcome for its per-stage metrics and stop-reason tallies.
-    pub(crate) fn detect_outcome(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-    ) -> Option<govm::TestOutcome> {
-        let prog = compile_sources(files, &CompileOptions::default()).ok()?;
+    /// Runs the detection campaign on the compiled case, returning the
+    /// full [`govm`] test outcome (stop reason, counters, any exposed
+    /// races): the campaign orchestrator keeps the whole outcome for its
+    /// per-stage metrics and stop-reason tallies.
+    pub(crate) fn detect(&self, prog: &govm::Program, test: &str) -> govm::TestOutcome {
         let cfg = TestConfig {
             runs: self.cfg.detect_runs,
             seed: self.cfg.seed,
@@ -392,68 +441,60 @@ impl<'db> DrFix<'db> {
             policy: self.cfg.detect_policy.clone(),
             ..TestConfig::default()
         };
-        Some(govm::run_test_many(&prog, test, &cfg))
+        govm::run_test_many(prog, test, &cfg)
     }
 
-    /// Reproduces the race, returning the first report.
-    pub(crate) fn reproduce(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-    ) -> Option<racedet::RaceReport> {
-        self.detect_outcome(files, test)?.races.into_iter().next()
-    }
-
-    /// Extracts the prompt code for a `(location, scope)` pair.
-    pub(crate) fn scope_code(
-        &self,
-        files: &[(String, String)],
-        loc: &FixLocation,
-        scope: Scope,
-    ) -> Option<(String, usize)> {
-        let (_, src) = files.iter().find(|(n, _)| n == &loc.file)?;
-        let parsed = golite::parse_file(src).ok()?;
-        let context_funcs = parsed.funcs().count();
-        match scope {
-            Scope::File => Some((src.clone(), context_funcs)),
-            Scope::Func => {
-                let wrapper = func_scope_wrapper(&parsed, &loc.function)?;
-                Some((wrapper, 1))
-            }
-        }
-    }
-
-    /// Splices the model's output back into the codebase.
+    /// Splices the model's output back into the codebase. A pure
+    /// function of `(loc.file, loc.function, scope, new_code)`.
     pub(crate) fn integrate(
         &self,
-        files: &[(String, String)],
+        codebase: &Codebase<'_>,
         loc: &FixLocation,
         scope: Scope,
         new_code: &str,
-    ) -> Result<Vec<(String, String)>, String> {
-        let patched_file = match scope {
+    ) -> Result<Revision, String> {
+        let (patched_file, parse) = match scope {
             Scope::File => {
-                golite::parse_file(new_code).map_err(|e| e.to_string())?;
-                new_code.to_owned()
+                let parse = golite::parse_file(new_code).map_err(|e| e.to_string())?;
+                (new_code.to_owned(), Ok(parse))
             }
             Scope::Func => {
-                let (_, orig_src) = files
-                    .iter()
-                    .find(|(n, _)| n == &loc.file)
-                    .ok_or("location file vanished")?;
-                integrate_func_patch(orig_src, new_code, &loc.function)?
+                let (_, orig) = codebase.file(&loc.file).ok_or("location file vanished")?;
+                let orig = orig.as_ref().map_err(|e| e.to_string())?;
+                let patched = splice_func_patch(orig.clone(), new_code, &loc.function)?;
+                let parse = golite::parse_file(&patched);
+                (patched, parse)
             }
         };
-        Ok(files
-            .iter()
-            .map(|(n, s)| {
-                if n == &loc.file {
-                    (n.clone(), patched_file.clone())
-                } else {
-                    (n.clone(), s.clone())
-                }
-            })
-            .collect())
+        Ok(Revision::new(
+            codebase.files(),
+            &loc.file,
+            patched_file,
+            parse,
+        ))
+    }
+}
+
+/// Extracts the prompt code for a `(location, scope)` pair, with its
+/// function count and parsed prompt, from the cached parse of the
+/// location's file.
+fn scope_code<'a>(
+    codebase: &'a Codebase<'_>,
+    loc: &FixLocation,
+    scope: Scope,
+) -> Option<(String, usize, Option<Prompt<'a>>)> {
+    let (src, parse) = codebase.file(&loc.file)?;
+    let parsed = parse.as_ref().ok()?;
+    let context_funcs = parsed.funcs().count();
+    match scope {
+        Scope::File => Some((src.to_owned(), context_funcs, Some(Prompt::Case(parsed)))),
+        Scope::Func => {
+            let wrapper = func_scope_wrapper(parsed, &loc.function)?;
+            let prompt = golite::parse_file(&wrapper)
+                .ok()
+                .map(|f| Prompt::Wrapper(Rc::new(f)));
+            Some((wrapper, 1, prompt))
+        }
     }
 }
 
@@ -476,13 +517,26 @@ pub fn func_scope_wrapper(parsed: &golite::ast::File, func_name: &str) -> Option
 }
 
 /// Splices a function-scope patch (a wrapper file holding the revised
-/// function plus any new imports/globals/types) into the original file.
+/// function plus any new imports/globals/types) into the original file:
+/// the text form of `splice_func_patch`.
 pub fn integrate_func_patch(
     original: &str,
     wrapper: &str,
     func_name: &str,
 ) -> Result<String, String> {
-    let mut orig = golite::parse_file(original).map_err(|e| e.to_string())?;
+    splice_func_patch(
+        golite::parse_file(original).map_err(|e| e.to_string())?,
+        wrapper,
+        func_name,
+    )
+}
+
+/// [`integrate_func_patch`] into the parsed original file `orig`.
+pub(crate) fn splice_func_patch(
+    mut orig: ast::File,
+    wrapper: &str,
+    func_name: &str,
+) -> Result<String, String> {
     let mut patch = golite::parse_file(wrapper).map_err(|e| e.to_string())?;
 
     // Merge imports. Paths are compared, but the *binding* is the local
@@ -558,7 +612,8 @@ pub fn integrate_func_patch(
     Ok(golite::print_file(&orig))
 }
 
-/// Changed-line count of a whole-codebase patch.
+/// Changed-line count of a whole-codebase patch. Byte-identical files
+/// are skipped: they change no line.
 pub fn patch_loc(before: &[(String, String)], after: &[(String, String)]) -> usize {
     let mut total = 0;
     for (name, new_src) in after {
@@ -567,7 +622,9 @@ pub fn patch_loc(before: &[(String, String)], after: &[(String, String)]) -> usi
             .find(|(n, _)| n == name)
             .map(|(_, s)| s.as_str())
             .unwrap_or("");
-        total += corpus::diff_lines(old, new_src);
+        if old != new_src {
+            total += corpus::diff_lines(old, new_src);
+        }
     }
     total
 }
@@ -692,6 +749,27 @@ mod tests {
         let orig = "package app\n\nfunc Work() {\n}\n";
         let wrapper = "package p\n\nfunc Elsewhere() {\n}\n";
         assert!(integrate_func_patch(orig, wrapper, "Work").is_err());
+    }
+
+    #[test]
+    fn patch_loc_counts_only_the_changed_file() {
+        let before = vec![
+            ("a.go".to_owned(), "l1\nl2\n".to_owned()),
+            ("b.go".to_owned(), "m1\nm2\nm3\n".to_owned()),
+            ("c.go".to_owned(), "n1\n".to_owned()),
+        ];
+        let mut after = before.clone();
+        after[1].1 = "m1\nm2x\nm3\nm4\n".to_owned();
+        assert_eq!(patch_loc(&before, &after), 3);
+        assert_eq!(
+            patch_loc(&before, &after),
+            before
+                .iter()
+                .zip(&after)
+                .map(|((_, old), (_, new))| corpus::diff_lines(old, new))
+                .sum::<usize>()
+        );
+        assert_eq!(patch_loc(&before, &before), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Race Info Extraction (§4.2): from a ThreadSanitizer-style report to
 //! candidate fix locations and scopes.
 
+use crate::codebase::{Codebase, FuncIndex};
 use racedet::RaceReport;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The three fix-location kinds of §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,25 +49,21 @@ pub struct RaceInfo {
 }
 
 /// Extracts candidate fix locations from a report, resolving function
-/// names to the files of `codebase` (`(name, source)` pairs).
+/// names to the files of `codebase` (`(name, source)` pairs): the text
+/// form of [`extract_indexed`].
 pub fn extract(report: &RaceReport, codebase: &[(String, String)]) -> RaceInfo {
-    // Each file parses once: the first file (in codebase order) that
-    // declares a function name owns it; unparseable files declare
-    // nothing.
-    let mut declared: HashMap<String, &str> = HashMap::new();
-    for (name, src) in codebase {
-        if let Ok(file) = golite::parse_file(src) {
-            for f in file.funcs() {
-                declared.entry(f.name.clone()).or_insert(name);
-            }
-        }
-    }
+    extract_indexed(report, &Codebase::parse(codebase).func_index())
+}
+
+/// Extracts candidate fix locations from a report, resolving function
+/// names through `index` (the first file that declares a name owns it).
+pub fn extract_indexed(report: &RaceReport, index: &FuncIndex) -> RaceInfo {
     let mut locations: Vec<FixLocation> = Vec::new();
     let mut push = |kind: LocationKind, function: &str, line: Option<u32>| {
         // The closure's frame names look like `parent.func1` — the
         // editable declaration is the parent function.
         let decl = function.split('.').next().unwrap_or(function).to_owned();
-        let Some(file) = declared.get(&decl).map(|&f| f.to_owned()) else {
+        let Some(file) = index.file_of(&decl).map(str::to_owned) else {
             return;
         };
         if let Some(existing) = locations

@@ -29,9 +29,11 @@
 //!   never rejection (they are heuristic, and must not override a
 //!   dynamically-clean patch).
 
-use crate::pipeline::{patch_loc, DrFix, FailureKind, FixOutcome};
+use crate::codebase::Codebase;
+use crate::pipeline::{patch_loc, DrFix, FailureKind, FixOutcome, Prompt};
 use crate::raceinfo::{FixLocation, LocationKind, RaceInfo};
-use crate::validate::{static_probe, StaticProbe, Verdict};
+use crate::validate::{static_probe_parsed, StaticProbe, Verdict};
+use std::collections::HashSet;
 use synthllm::{Candidate, Feedback, FixRequest, RaceCategory, Scope, StrategyKind, SynthLlm};
 
 /// Configuration of the tournament arm. `None` on
@@ -190,14 +192,39 @@ impl DrFix<'_> {
     /// static-repair loop. Consults only the synthetic model and
     /// `statcheck` — **zero VM instructions** — so the campaign can run
     /// it in a stage that never touches the scheduler.
+    ///
+    /// Integration is a pure function of `(file, function, scope,
+    /// code)`, so a repeated input is skipped before it is integrated —
+    /// exactly where its (necessarily repeated or failed) output would
+    /// have been skipped. Different inputs can still splice to the same
+    /// bytes, which `seen` catches.
     pub(crate) fn tournament_pool(
         &self,
-        files: &[(String, String)],
+        codebase: &Codebase<'_>,
         info: &RaceInfo,
         tcfg: &TournamentConfig,
     ) -> PoolBuild {
         let mut llm_calls = 0u32;
+        let mut lint_probes = 0u32;
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
+        let mut tried: HashSet<(String, String, Scope, String)> = HashSet::new();
+        let mut seen = HashSet::new();
+        // Admits one integration input: the new pool entry's sources,
+        // patch size and static probe, or `None` for an input already
+        // tried, a failed splice, or bytes already pooled.
+        let mut admit = |loc: &FixLocation, scope: Scope, code: &str| {
+            if !tried.insert((loc.file.clone(), loc.function.clone(), scope, code.into())) {
+                return None;
+            }
+            let rev = self.integrate(codebase, loc, scope, code).ok()?;
+            if !seen.insert(pool_key(&rev.files)) {
+                return None;
+            }
+            let probe = static_probe_parsed(&codebase.revise(&rev));
+            lint_probes += 1;
+            let ploc = patch_loc(codebase.files(), &rev.files);
+            Some((rev.files, ploc, probe))
+        };
 
         // ── Phase 1: enumerate the candidate pool ────────────────────
         //
@@ -207,15 +234,18 @@ impl DrFix<'_> {
         // replays the request under synthetic attempt-1 feedback: the
         // capability dice key mislocalisation on the attempt ordinal, so
         // this is exactly the extra chance single-path's feedback retry
-        // gets — without it the pool could miss a retry-only win.
+        // gets — without it the pool could miss a retry-only win. Every
+        // admitted candidate is probed once, here.
         let mut pool: Vec<PoolEntry> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        // Each entry's parsed prompt, for its repairs; never leaves this
+        // function (the pool crosses a stage channel, trees do not).
+        let mut prompts: Vec<Option<Prompt<'_>>> = Vec::new();
         let passes: u32 = if self.cfg.feedback {
             self.cfg.retries + 1
         } else {
             1
         };
-        for site in self.sweep(files, info) {
+        for site in self.sweep(codebase, info) {
             for pass in 0..passes {
                 // Synthetic feedback reproduces the attempt ordinal
                 // without naming a failed strategy: exclusions only
@@ -229,15 +259,12 @@ impl DrFix<'_> {
                     .collect();
                 let req = site.request(info, feedback);
                 llm_calls += 1;
-                for cand in llm.enumerate(&req, tcfg.max_candidates) {
-                    let Ok(patched) = self.integrate(files, site.loc, site.scope, &cand.code)
+                for cand in site.enumerate(&llm, &req, tcfg.max_candidates) {
+                    let Some((patched, ploc, probe)) = admit(site.loc, site.scope, &cand.code)
                     else {
                         continue;
                     };
-                    if !seen.insert(pool_key(&patched)) {
-                        continue;
-                    }
-                    let ploc = patch_loc(files, &patched);
+                    prompts.push(site.prompt.clone());
                     pool.push(PoolEntry {
                         cand,
                         req: req.clone(),
@@ -247,12 +274,7 @@ impl DrFix<'_> {
                         patched,
                         ploc,
                         repair_iters: 0,
-                        probe: StaticProbe {
-                            errors: 0,
-                            warnings: 0,
-                            first_rule: None,
-                            broken: false,
-                        },
+                        probe,
                     });
                 }
             }
@@ -260,57 +282,55 @@ impl DrFix<'_> {
 
         // ── Phase 2: iterated repair against statcheck ───────────────
         //
-        // Every candidate is probed; findings (errors *or* warnings)
-        // trigger a bounded repair chain. Repaired code joins the pool
-        // as a fresh candidate — the parent stays, preserving the
-        // superset invariant — and the chain continues from the newest
-        // link. Not one VM instruction is spent here.
-        let mut lint_probes = 0u32;
+        // Findings (errors *or* warnings) trigger a bounded repair
+        // chain. Repaired code joins the pool as a fresh candidate — the
+        // parent stays, preserving the superset invariant — and the
+        // chain continues from the newest link. Not one VM instruction
+        // is spent here.
         let mut total_repairs = 0u32;
         let base_len = pool.len();
         for i in 0..base_len {
-            pool[i].probe = static_probe(&pool[i].patched);
-            lint_probes += 1;
             let mut current = i;
             let mut iter = 0u32;
             while iter < tcfg.repair_max_iters {
-                let probe = &pool[current].probe;
-                if probe.clean() || probe.broken {
+                let parent = &pool[current];
+                if parent.probe.clean() || parent.probe.broken {
                     break;
                 }
-                let rule = probe.first_rule.clone().unwrap_or_else(|| "unknown".into());
+                let rule = parent
+                    .probe
+                    .first_rule
+                    .clone()
+                    .unwrap_or_else(|| "unknown".into());
                 llm_calls += 1;
-                let Some(rep) = llm.repair(&pool[current].req, &pool[current].cand, &rule, iter)
+                let Some(rep) = prompts[current]
+                    .as_deref()
+                    .and_then(|p| llm.repair_parsed(&parent.req, p, &parent.cand, &rule, iter))
                 else {
                     break;
                 };
                 iter += 1;
                 total_repairs += 1;
-                if rep.code == pool[current].cand.code {
+                if rep.code == parent.cand.code {
                     break; // the model reproduced itself: converged
                 }
-                let Ok(patched) =
-                    self.integrate(files, &pool[current].loc, pool[current].scope, &rep.code)
+                let Some((patched, ploc, probe)) = admit(&parent.loc, parent.scope, &rep.code)
                 else {
-                    break;
+                    break; // a known input or candidate, or a failed splice
                 };
-                if !seen.insert(pool_key(&patched)) {
-                    break; // converged onto an already-known candidate
-                }
-                let ploc = patch_loc(files, &patched);
-                let probe = static_probe(&patched);
-                lint_probes += 1;
-                pool.push(PoolEntry {
+                let entry = PoolEntry {
                     cand: rep,
-                    req: pool[current].req.clone(),
-                    loc: pool[current].loc.clone(),
-                    scope: pool[current].scope,
-                    example_category: pool[current].example_category,
+                    req: parent.req.clone(),
+                    loc: parent.loc.clone(),
+                    scope: parent.scope,
+                    example_category: parent.example_category,
                     patched,
                     ploc,
                     repair_iters: iter,
                     probe,
-                });
+                };
+                prompts.push(prompts[current].clone());
+                pool.push(entry);
                 current = pool.len() - 1;
             }
         }
@@ -383,7 +403,13 @@ impl DrFix<'_> {
             // depend on which others entered or left the pool. The
             // static gate is off: `static_probe` already ran the same
             // analysis on these bytes and found no error.
-            let vreport = self.validate(&entry.patched, test, &info.bug_hash, i as u32 + 1, false);
+            let vreport = self.validate(
+                &Codebase::parse(&entry.patched),
+                test,
+                &info.bug_hash,
+                i as u32 + 1,
+                false,
+            );
             out.validation_vm_steps += vreport.vm_steps;
             match vreport.verdict {
                 Verdict::Ok => {

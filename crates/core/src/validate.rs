@@ -16,7 +16,9 @@
 //! warning-tier findings are surfaced in [`ValidationOutcome`] but never
 //! downgrade a dynamically-clean verdict.
 
-use govm::{compile_sources, CompileOptions, TestConfig};
+use crate::codebase::Codebase;
+use golite::ast;
+use govm::{compile_package, CompileOptions, TestConfig};
 
 /// Validation verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,17 +96,6 @@ pub fn validate_patch(
     validate_patch_report(files, test, bug_hash, &cfg, &ValidationOptions::default()).verdict
 }
 
-/// Renders a build failure with the failing file and line when the
-/// failure is attributable to a single source file.
-fn build_failure_message(files: &[(String, String)], diag: &golite::Diag) -> String {
-    for (name, src) in files {
-        if let Err(d) = golite::parse_file(src) {
-            return format!("build failed: {}", d.render(name, src));
-        }
-    }
-    format!("build failed: {diag}")
-}
-
 /// One zero-cost lint probe of a candidate patch: `statcheck` only — no
 /// compilation, no schedules, no VM instructions. The tournament's
 /// repair loop iterates against this before any dynamic validation is
@@ -131,33 +122,44 @@ impl StaticProbe {
 /// Runs `statcheck` over a candidate codebase without spending any
 /// dynamic validation work. See [`StaticProbe`].
 pub fn static_probe(files: &[(String, String)]) -> StaticProbe {
-    match statcheck::check_sources(files) {
-        Ok(reports) => {
-            let errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
-            let warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
-            let first_rule = statcheck::first_error(&reports)
-                .map(|(_, d)| d.rule.clone())
-                .or_else(|| {
-                    reports
-                        .iter()
-                        .flat_map(|r| r.diagnostics.iter())
-                        .next()
-                        .map(|d| d.rule.clone())
-                });
-            StaticProbe {
-                errors,
-                warnings,
-                first_rule,
-                broken: false,
-            }
-        }
-        Err(_) => StaticProbe {
+    static_probe_parsed(&Codebase::parse(files))
+}
+
+/// [`static_probe`] over an already-parsed codebase.
+pub(crate) fn static_probe_parsed(codebase: &Codebase<'_>) -> StaticProbe {
+    let Ok(parsed) = codebase.parsed() else {
+        return StaticProbe {
             errors: 0,
             warnings: 0,
             first_rule: None,
             broken: true,
-        },
+        };
+    };
+    let reports = statcheck::check_parsed(&statcheck_inputs(&parsed));
+    let errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
+    let warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
+    let first_rule = statcheck::first_error(&reports)
+        .map(|(_, d)| d.rule.clone())
+        .or_else(|| {
+            reports
+                .iter()
+                .flat_map(|r| r.diagnostics.iter())
+                .next()
+                .map(|d| d.rule.clone())
+        });
+    StaticProbe {
+        errors,
+        warnings,
+        first_rule,
+        broken: false,
     }
+}
+
+/// `(name, ast)` pairs for `statcheck` from `(name, source, ast)` ones.
+fn statcheck_inputs<'a>(
+    parsed: &[(&'a str, &str, &'a ast::File)],
+) -> Vec<(&'a str, &'a ast::File)> {
+    parsed.iter().map(|&(name, _, file)| (name, file)).collect()
 }
 
 /// The full validation pipeline with an explicit [`ValidationOptions`]:
@@ -170,6 +172,17 @@ pub fn validate_patch_report(
     cfg: &TestConfig,
     opts: &ValidationOptions,
 ) -> ValidationOutcome {
+    validate_parsed(&Codebase::parse(files), test, bug_hash, cfg, opts)
+}
+
+/// [`validate_patch_report`] over an already-parsed codebase.
+pub(crate) fn validate_parsed(
+    codebase: &Codebase<'_>,
+    test: &str,
+    bug_hash: &str,
+    cfg: &TestConfig,
+    opts: &ValidationOptions,
+) -> ValidationOutcome {
     let mut outcome = ValidationOutcome {
         verdict: Verdict::Ok,
         rejected_static: false,
@@ -177,10 +190,17 @@ pub fn validate_patch_report(
         static_warnings: 0,
         vm_steps: 0,
     };
-    let prog = match compile_sources(files, &CompileOptions::default()) {
+    let parsed = match codebase.parsed() {
+        Ok(p) => p,
+        Err((name, src, d)) => {
+            outcome.verdict = Verdict::Fail(format!("build failed: {}", d.render(name, src)));
+            return outcome;
+        }
+    };
+    let prog = match compile_package(&parsed, &CompileOptions::default()) {
         Ok(p) => p,
         Err(e) => {
-            outcome.verdict = Verdict::Fail(build_failure_message(files, &e));
+            outcome.verdict = Verdict::Fail(format!("build failed: {e}"));
             return outcome;
         }
     };
@@ -189,34 +209,15 @@ pub fn validate_patch_report(
         return outcome;
     }
     if opts.static_gate {
-        match statcheck::check_sources(files) {
-            Ok(reports) => {
-                outcome.static_errors =
-                    statcheck::count_severity(&reports, statcheck::Severity::Error);
-                outcome.static_warnings =
-                    statcheck::count_severity(&reports, statcheck::Severity::Warning);
-                if let Some((file, diag)) = statcheck::first_error(&reports) {
-                    let src = files
-                        .iter()
-                        .find(|(n, _)| n == file)
-                        .map(|(_, s)| s.as_str())
-                        .unwrap_or("");
-                    outcome.rejected_static = true;
-                    outcome.verdict =
-                        Verdict::Fail(format!("static check failed: {}", diag.render(file, src)));
-                    return outcome;
-                }
-            }
-            Err((file, d)) => {
-                // Unreachable after a successful compile, but stay safe.
-                let src = files
-                    .iter()
-                    .find(|(n, _)| n == &file)
-                    .map(|(_, s)| s.as_str())
-                    .unwrap_or("");
-                outcome.verdict = Verdict::Fail(format!("build failed: {}", d.render(&file, src)));
-                return outcome;
-            }
+        let reports = statcheck::check_parsed(&statcheck_inputs(&parsed));
+        outcome.static_errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
+        outcome.static_warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
+        if let Some((file, diag)) = statcheck::first_error(&reports) {
+            let src = codebase.file(file).map_or("", |(src, _)| src);
+            outcome.rejected_static = true;
+            outcome.verdict =
+                Verdict::Fail(format!("static check failed: {}", diag.render(file, src)));
+            return outcome;
         }
     }
     let out = govm::run_test_many(&prog, test, cfg);

@@ -23,18 +23,25 @@ pub struct CompileOptions {
     pub loopvar_per_iteration: bool,
 }
 
-/// Compiles a package from `(file name, source)` pairs.
+/// Compiles a package from `(file name, source)` pairs: the text form
+/// of [`compile_package`].
 ///
 /// # Errors
 ///
 /// Returns the first parse or lowering [`Diag`].
 pub fn compile_sources(sources: &[(String, String)], opts: &CompileOptions) -> Result<Program> {
-    let mut files = Vec::new();
+    let mut asts = Vec::with_capacity(sources.len());
     for (name, src) in sources {
-        let file = golite::parse_file(src)
-            .map_err(|d| Diag::new(format!("{}: {}", name, d.message), d.span))?;
-        files.push((name.clone(), src.clone(), file));
+        asts.push(
+            golite::parse_file(src)
+                .map_err(|d| Diag::new(format!("{}: {}", name, d.message), d.span))?,
+        );
     }
+    let files: Vec<(&str, &str, &ast::File)> = sources
+        .iter()
+        .zip(&asts)
+        .map(|((name, src), file)| (name.as_str(), src.as_str(), file))
+        .collect();
     compile_package(&files, opts)
 }
 
@@ -44,7 +51,7 @@ pub fn compile_sources(sources: &[(String, String)], opts: &CompileOptions) -> R
 ///
 /// Returns a [`Diag`] on unsupported constructs or unresolved names.
 pub fn compile_package(
-    files: &[(String, String, ast::File)],
+    files: &[(&str, &str, &ast::File)],
     opts: &CompileOptions,
 ) -> Result<Program> {
     let mut c = Compiler::new(opts);
@@ -195,9 +202,9 @@ impl<'o> Compiler<'o> {
 
     // ------------------------------------------------------------- driver
 
-    fn run(&mut self, files: &[(String, String, ast::File)]) -> Result<()> {
+    fn run(&mut self, files: &[(&str, &str, &ast::File)]) -> Result<()> {
         for (name, src, _) in files {
-            self.prog.files.push(name.clone());
+            self.prog.files.push((*name).to_owned());
             self.line_maps.push(LineMap::new(src));
         }
 

@@ -50,21 +50,32 @@ pub struct FileReport {
 
 /// Analyzes a set of sources that form one program. Returns one report
 /// per file (in input order); lock-order cycles are detected across
-/// files. Fails only if a file does not parse.
+/// files. Fails only if a file does not parse. The text form of
+/// [`check_parsed`].
 pub fn check_sources(
     files: &[(String, String)],
 ) -> Result<Vec<FileReport>, (String, golite::Diag)> {
-    let mut parsed = Vec::new();
+    let mut parsed = Vec::with_capacity(files.len());
     for (name, src) in files {
-        let file = golite::parse_file(src).map_err(|d| (name.clone(), d))?;
-        parsed.push((name.clone(), file));
+        parsed.push((
+            name.as_str(),
+            golite::parse_file(src).map_err(|d| (name.clone(), d))?,
+        ));
     }
+    let refs: Vec<(&str, &golite::ast::File)> = parsed.iter().map(|(n, f)| (*n, f)).collect();
+    Ok(check_parsed(&refs))
+}
+
+/// Analyzes the parsed files of one program (`(file name, ast)` pairs).
+/// Returns one report per file (in input order); lock-order cycles are
+/// detected across files.
+pub fn check_parsed(files: &[(&str, &golite::ast::File)]) -> Vec<FileReport> {
     // Program-wide naming facts: a package-level lock declared in one
     // file must qualify identically when used from another.
-    let env = cfg::FileEnv::for_program(parsed.iter().map(|(_, f)| f));
+    let env = cfg::FileEnv::for_program(files.iter().map(|(_, f)| *f));
     let mut reports: Vec<FileReport> = Vec::new();
     let mut all_contexts = Vec::new(); // (file_idx, func, kind, result)
-    for (idx, (name, file)) in parsed.iter().enumerate() {
+    for (idx, (name, file)) in files.iter().enumerate() {
         let mut diags = lints::ast_lints(file);
         let ctxs = cfg::contexts_with(file, &env);
         let mut accesses: Vec<AccessFact> = Vec::new();
@@ -76,7 +87,7 @@ pub fn check_sources(
         }
         diags.extend(access_lints(&accesses));
         reports.push(FileReport {
-            file: name.clone(),
+            file: (*name).to_owned(),
             diagnostics: diags,
         });
     }
@@ -92,7 +103,7 @@ pub fn check_sources(
             .sort_by(|a, b| (a.span.lo, a.span.hi, &a.rule).cmp(&(b.span.lo, b.span.hi, &b.rule)));
         r.diagnostics.dedup();
     }
-    Ok(reports)
+    reports
 }
 
 /// Analyzes a single file.

@@ -102,7 +102,7 @@ impl RaceCategory {
 }
 
 /// Fix scope (§4.2): the model sees one function or a whole file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scope {
     /// Function-only context (succinct but limited).
     Func,

@@ -63,18 +63,24 @@ impl SynthLlm {
         self.cap.tier()
     }
 
-    /// Generates a candidate fix for the request.
+    /// Generates a candidate fix for the request: the text form of
+    /// [`SynthLlm::generate_parsed`].
     pub fn generate(&self, req: &FixRequest) -> FixResponse {
-        let Ok(file) = golite::parse_file(&req.code) else {
-            return FixResponse {
+        match golite::parse_file(&req.code) {
+            Ok(file) => self.generate_parsed(req, &file),
+            Err(_) => FixResponse {
                 code: None,
                 strategy: None,
                 degraded: false,
                 note: "prompt code does not parse".into(),
-            };
-        };
+            },
+        }
+    }
 
-        let (ranked, example_idiom) = match self.rank_diagnoses(req, &file) {
+    /// [`SynthLlm::generate`] over the already-parsed prompt: `file` must
+    /// be `req.code` parsed.
+    pub fn generate_parsed(&self, req: &FixRequest, file: &golite::ast::File) -> FixResponse {
+        let (ranked, example_idiom) = match self.rank_diagnoses(req, file) {
             Ok(r) => r,
             Err(note) => {
                 return FixResponse {
@@ -103,7 +109,7 @@ impl SynthLlm {
         if misloc_roll < misloc_p {
             // Lost in the middle: the model rewrites a plausible-looking
             // but wrong site; the emitted code changes nothing relevant.
-            let degraded_code = golite::print_file(&file);
+            let degraded_code = golite::print_file(file);
             return FixResponse {
                 code: Some(degraded_code),
                 strategy: ranked.first().map(|(_, d)| d.strategy),
@@ -122,7 +128,7 @@ impl SynthLlm {
         // scope) is skipped, like an LLM revising its plan.
         for (i, (_, diag)) in ranked.iter().take(4).enumerate() {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            match strategy::apply(diag.strategy, &file, &diag.target, botch) {
+            match strategy::apply(diag.strategy, file, &diag.target, botch) {
                 Ok(new_file) => {
                     return FixResponse {
                         code: Some(golite::print_file(&new_file)),
@@ -161,10 +167,19 @@ impl SynthLlm {
     /// `generate` would return is always in the list (when it returns
     /// one at all); the list simply keeps going past the first success.
     pub fn enumerate(&self, req: &FixRequest, max: usize) -> Vec<Candidate> {
-        let Ok(file) = golite::parse_file(&req.code) else {
-            return Vec::new();
-        };
-        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, &file) else {
+        golite::parse_file(&req.code)
+            .map_or_else(|_| Vec::new(), |f| self.enumerate_parsed(req, &f, max))
+    }
+
+    /// [`SynthLlm::enumerate`] over the already-parsed prompt: `file`
+    /// must be `req.code` parsed.
+    pub fn enumerate_parsed(
+        &self,
+        req: &FixRequest,
+        file: &golite::ast::File,
+        max: usize,
+    ) -> Vec<Candidate> {
+        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, file) else {
             return Vec::new();
         };
         let attempt_tag = format!("attempt{}", req.feedback.len());
@@ -185,7 +200,7 @@ impl SynthLlm {
             // candidate, so the tournament sees what single-path saw.
             let (_, top) = &ranked[0];
             return vec![Candidate {
-                code: golite::print_file(&file),
+                code: golite::print_file(file),
                 strategy: top.strategy,
                 target: top.target.clone(),
                 degraded: true,
@@ -200,7 +215,7 @@ impl SynthLlm {
         let mut out = Vec::new();
         for (score, diag) in ranked.iter().take(max) {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            if let Ok(new_file) = strategy::apply(diag.strategy, &file, &diag.target, botch) {
+            if let Ok(new_file) = strategy::apply(diag.strategy, file, &diag.target, botch) {
                 out.push(Candidate {
                     code: golite::print_file(&new_file),
                     strategy: diag.strategy,
@@ -233,7 +248,19 @@ impl SynthLlm {
         rule: &str,
         iter: u32,
     ) -> Option<Candidate> {
-        let file = golite::parse_file(&req.code).ok()?;
+        self.repair_parsed(req, &golite::parse_file(&req.code).ok()?, cand, rule, iter)
+    }
+
+    /// [`SynthLlm::repair`] over the already-parsed prompt: `file` must
+    /// be `req.code` parsed.
+    pub fn repair_parsed(
+        &self,
+        req: &FixRequest,
+        file: &golite::ast::File,
+        cand: &Candidate,
+        rule: &str,
+        iter: u32,
+    ) -> Option<Candidate> {
         let skill = self.cap.effective_skill(cand.strategy, true);
         let tag = format!("repair{iter}");
         let roll = draw(
@@ -242,7 +269,7 @@ impl SynthLlm {
             &tag,
         );
         let botch = if roll < skill { 0 } else { 1 };
-        let new_file = strategy::apply(cand.strategy, &file, &cand.target, botch).ok()?;
+        let new_file = strategy::apply(cand.strategy, file, &cand.target, botch).ok()?;
         Some(Candidate {
             code: golite::print_file(&new_file),
             degraded: botch != 0,
@@ -624,6 +651,60 @@ func note()        {}
         // same outcome, but the draw is keyed differently).
         let c = llm.repair(&r, cand, "inconsistent-lock", 1).unwrap();
         assert_eq!(c.strategy, cand.strategy);
+    }
+
+    #[test]
+    fn parsed_forms_match_their_text_forms() {
+        // Every request shape of this module: bare, with feedback, with
+        // an example, and at function scope.
+        let mut with_feedback = req(ERR_RACE, "err");
+        with_feedback.feedback.push(Feedback {
+            strategy: Some(StrategyKind::RedeclareInGoroutine),
+            message: "tests still race".into(),
+        });
+        let mut with_example = req(ERR_RACE, "err");
+        with_example.example = Some(Example {
+            buggy: "package p\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n}\n".into(),
+            fixed: "package p\nimport \"sync\"\nvar muX sync.Mutex\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tmuX.Lock()\n\t\tx = 1\n\t\tmuX.Unlock()\n\t}()\n}\n".into(),
+        });
+        let mut func_scope = req(ERR_RACE, "err");
+        func_scope.scope = Scope::Func;
+        func_scope.focus_func = Some("F".into());
+        let requests = [
+            req(ERR_RACE, "err"),
+            with_feedback,
+            with_example,
+            func_scope,
+        ];
+        let dbg = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        for r in &requests {
+            let file = golite::parse_file(&r.code).unwrap();
+            for seed in 0..8u64 {
+                for tier in [ModelTier::Gpt4Turbo, ModelTier::Gpt4o, ModelTier::O1Preview] {
+                    let llm = SynthLlm::new(tier, seed);
+                    assert_eq!(
+                        dbg(&llm.generate(r)),
+                        dbg(&llm.generate_parsed(r, &file)),
+                        "generate, seed {seed} tier {tier:?}"
+                    );
+                    let cands = llm.enumerate(r, 8);
+                    assert_eq!(
+                        dbg(&cands),
+                        dbg(&llm.enumerate_parsed(r, &file, 8)),
+                        "enumerate, seed {seed} tier {tier:?}"
+                    );
+                    for cand in &cands {
+                        for iter in 0..2 {
+                            assert_eq!(
+                                dbg(&llm.repair(r, cand, "inconsistent-lock", iter)),
+                                dbg(&llm.repair_parsed(r, &file, cand, "inconsistent-lock", iter)),
+                                "repair, seed {seed} tier {tier:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

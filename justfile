@@ -44,9 +44,10 @@ exposure-smoke:
     DRFIX_STE_CASES=14 DRFIX_STE_MAX_SCHED=64 DRFIX_STE_VALIDATION_RUNS=64 cargo bench -q -p bench --bench schedules_to_expose
 
 # Tournament smoke: the multi-candidate tournament arm's acceptance
-# suite on a 2-worker fleet (superset, zero lint VM steps, determinism).
+# suite on a 2-worker fleet (superset, zero lint VM steps, determinism),
+# plus the fix-arm golden (per-case outcomes and tournament rosters).
 tournament-smoke:
-    DRFIX_THREADS=2 cargo test --release -q --test tournament_ab
+    DRFIX_THREADS=2 cargo test --release -q --test tournament_ab --test fixarm_golden
 
 # Static-analyzer false-positive sweep: statcheck must stay silent on
 # every correct program family while the misuse fixtures keep firing.

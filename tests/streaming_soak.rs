@@ -29,10 +29,7 @@ const FULL_SCALE_BYTE_BOUND: u64 = 8 * 1024 * 1024;
 const FULL_SCALE_STEPS: u64 = 1_000_000;
 
 fn soak_gens() -> usize {
-    std::env::var("DRFIX_SOAK_GENS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_GENS)
+    bench::env_knob("DRFIX_SOAK_GENS", DEFAULT_GENS)
 }
 
 fn run_soak(shadow_gc: bool, gens: usize) -> TestOutcome {
